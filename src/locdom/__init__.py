@@ -36,13 +36,13 @@ from .graphs import (
 )
 from .location import (
     ClassPartition,
-    Representatives,
     distinguishes,
     extend_to_dominating,
     is_dominating,
     is_locating,
     is_locating_dominating,
     representatives,
+    score_table,
     separation_score,
     trace,
     x_partition,
@@ -51,7 +51,6 @@ from .solver import (
     OptimumWitness,
     PartitionWitness,
     SkResult,
-    max_s2,
     min_locating,
     min_locating_dominating,
     s_k_of_graph,

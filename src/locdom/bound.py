@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import add
 
 from .errors import (
     BoundViolation,
@@ -24,12 +25,15 @@ from .errors import (
     Infeasible,
     RefusedScale,
     TwinsPresent,
+    VerificationFailed,
 )
 from .graphs import Graph, is_twin_free, members, splitmix64
 from .location import (
     extend_to_dominating,
     is_locating,
     representatives,
+    score_table,
+    separation_score,
     x_partition,
 )
 
@@ -106,28 +110,14 @@ class BoundReport:
         return self.ld_witness.bit_count()
 
 
-def _both_scores(adj: tuple[int, ...], n: int, a: int) -> tuple[int, int]:
-    """(s(a), s(complement(a))) in one pass over the vertices."""
-    t_a = set()
-    t_comp = set()
-    comp = (1 << n) - 1 ^ a
-    for v in range(n):
-        if a >> v & 1:
-            t_comp.add(adj[v] & comp)
-        else:
-            t_a.add(adj[v] & a)
-    return len(t_a), len(t_comp)
-
-
 def score_sum(g: Graph, a: int) -> ScoredSet:
-    s_a, s_comp = _both_scores(g.adj, g.n, a)
-    return ScoredSet(a, s_a, s_comp)
+    return ScoredSet(a, separation_score(g, a), separation_score(g, g.complement_set(a)))
 
 
 def thinning_move(g: Graph, a: int, u_class: int, u: int) -> int:
     """Absorb all but u of a non-trivial complement class into a.
 
-    Neither separation score decreases under this move; tests assert that
+    Neither separation score decreases under this move; tests check that
     property, this function only performs the absorption.
     """
     part = x_partition(g, a, g.complement_set(a))
@@ -180,12 +170,11 @@ def derive_good_set(g: Graph, a: int, s_max: int | None = None) -> int:
     scored = score_sum(g, a)
     if s_max is not None and scored.sum != s_max:
         raise NotMaximal(f"score sum {scored.sum} != maximum {s_max}")
-    part = x_partition(g, a, g.complement_set(a))
-    r = representatives(part).chosen
-    _, s_comp_r = _both_scores(g.adj, g.n, r)
-    if s_comp_r != r.bit_count():
+    r = representatives(x_partition(g, a, g.complement_set(a)))
+    scored_r = score_sum(g, r)
+    if scored_r.s_comp != r.bit_count():
         raise Infeasible("representative set failed structural goodness")
-    if s_max is not None and sum(_both_scores(g.adj, g.n, r)) != s_max:
+    if s_max is not None and scored_r.sum != s_max:
         raise NotMaximal("normalized set lost the maximum score sum")
     return r
 
@@ -193,34 +182,32 @@ def derive_good_set(g: Graph, a: int, s_max: int | None = None) -> int:
 def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int, int]:
     """Exhaustive maximum S of the score sum, plus a k-maximal good set.
 
-    Enumerates all 2^n subsets; among the maximizers (normalized through
-    derive_good_set) returns the good set with the largest number k of
-    non-trivial complement classes, ties broken by smallest bit pattern.
+    One table T of separation scores over all 2^n subsets gives
+    S = max(T[a] + T[V \\ a]).  The good maximizers are the r with
+    T[r] + T[V \\ r] = S and T[V \\ r] = |r|; they are exactly the images
+    of the maximizers under derive_good_set.  That normalization maps every
+    maximizer to a good maximizer (or raises), and every good maximizer r is
+    the image of V \\ r: the partition of r by traces on V \\ r has only
+    trivial classes, so its representatives are r itself.  Among the good
+    maximizers this returns the one with the largest number k of non-trivial
+    complement classes, ties broken by smallest bit pattern.
     """
     if g.n > ceiling:
         raise RefusedScale(f"exact maximization refused for n={g.n} > {ceiling}")
-    adj = g.adj
-    n = g.n
-    best_sum = -1
-    for a in range(1 << n):
-        s = sum(_both_scores(adj, n, a))
-        if s > best_sum:
-            best_sum = s
+    table = score_table(g)
+    best_sum = max(map(add, table, reversed(table)))
     best_good = None
     best_k = -1
-    seen: set[int] = set()
-    for a in range(1 << n):
-        if sum(_both_scores(adj, n, a)) != best_sum:
+    for r, (s_r, s_comp) in enumerate(zip(table, reversed(table))):
+        if s_r + s_comp != best_sum or s_comp != r.bit_count():
             continue
-        r = derive_good_set(g, a, s_max=best_sum)
-        if r in seen:
-            continue
-        seen.add(r)
         part = x_partition(g, r, g.complement_set(r))
         k = sum(1 for cls in part.classes if cls.bit_count() >= 2)
-        if k > best_k or (k == best_k and r < best_good):
+        if k > best_k:
             best_k = k
             best_good = r
+    if best_good is None:
+        raise Infeasible("no maximizer of the score sum is a good set")
     return best_sum, best_good
 
 
@@ -315,20 +302,20 @@ def candidate_sets(g: Graph, d: GoodDecomposition, strict: bool = True) -> tuple
         "eq3": d.a | d.c,
         "eq4": (d.a_prime | d.z | d.r_b | d.c) if k >= 1 else d.c,
     }
-    assert sets["eq1"].bit_count() == n - c - k
-    assert sets["eq2"].bit_count() == b + c
-    assert sets["eq3"].bit_count() == n - b
+    sizes = [sets[tag].bit_count() for tag in CANDIDATE_TAGS[:3]]
+    if sizes != [n - c - k, b + c, n - b]:
+        raise VerificationFailed(f"eq1-eq3 sizes {sizes} break their identities")
     if strict:
         if d.a_prime.bit_count() > k:
-            raise AssertionError("|a_prime| exceeds k on a k-maximal good set")
+            raise VerificationFailed("|a_prime| exceeds k on a k-maximal good set")
         if k >= 1 and sets["eq4"].bit_count() > c + 3 * k - 1:
-            raise AssertionError("eq4 candidate exceeds c + 3k - 1")
+            raise VerificationFailed("eq4 candidate exceeds c + 3k - 1")
     out = []
     for tag in CANDIDATE_TAGS:
         s = sets[tag]
         loc = is_locating(g, s)
         if strict and not loc:
-            raise AssertionError(f"candidate {tag} failed the locating check")
+            raise VerificationFailed(f"candidate {tag} failed the locating check")
         out.append(Candidate(tag, s, s.bit_count(), loc))
     return tuple(out)
 

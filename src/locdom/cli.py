@@ -1,6 +1,7 @@
 """Command-line workbench: single-graph analysis, corpus sweeps, reports.
 
-Exit codes: 0 success, 2 parse error, 3 twins present, 4 refused scale,
+Exit codes: 0 success, 2 parse error or any other locdom error (invalid
+parameter, failed re-verification), 3 twins present, 4 refused scale,
 5 bound violation, 1 anything else.  Single-graph commands print one JSON
 report; ``corpus`` streams JSON-lines records (one per input graph, in
 input order regardless of --jobs) and a CSV summary.
@@ -8,6 +9,7 @@ input order regardless of --jobs) and a CSV summary.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -19,15 +21,25 @@ import click
 from . import bound, graphs, location, solver
 from .errors import (
     BoundViolation,
+    InvalidParameter,
     LocdomError,
     RefusedScale,
     TwinsPresent,
+    VerificationFailed,
 )
 
 EXIT_PARSE = 2
 EXIT_TWINS = 3
 EXIT_SCALE = 4
 EXIT_BOUND = 5
+
+# first match wins, so the LocdomError catch-all comes last
+_EXIT_CODES = (
+    (TwinsPresent, EXIT_TWINS),
+    (RefusedScale, EXIT_SCALE),
+    (BoundViolation, EXIT_BOUND),
+    (LocdomError, EXIT_PARSE),
+)
 
 SOLVE_CEILING_DEFAULT = solver.MIN_SET_CEILING
 
@@ -90,11 +102,17 @@ def _base_record(g: graphs.Graph) -> dict:
     }
 
 
+def _reverify(g: graphs.Graph, l_witness: int, ld_witness: int) -> None:
+    """Re-check witnesses before they are serialized."""
+    if not location.is_locating(g, l_witness):
+        raise VerificationFailed("locating witness failed re-verification")
+    if not location.is_locating_dominating(g, ld_witness):
+        raise VerificationFailed("locating-dominating witness failed re-verification")
+
+
 def _bound_record(g: graphs.Graph, mode: str, max_exact: int) -> dict:
     report = bound.construct_ld(g, mode=mode, max_exact=max_exact)
-    # re-verify witnesses before they are serialized
-    assert location.is_locating(g, report.witness)
-    assert location.is_locating_dominating(g, report.ld_witness) or g.n == 0
+    _reverify(g, report.witness, report.ld_witness)
     return {
         "mode": report.mode,
         "certified": report.certified,
@@ -125,7 +143,18 @@ class _Timer:
         self._t0 = now
 
 
-@click.group()
+class _Workbench(click.Group):
+    """Reports a LocdomError from any command as one line and its exit code."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except LocdomError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for cls, code in _EXIT_CODES if isinstance(exc, cls)))
+
+
+@click.group(cls=_Workbench)
 def main() -> None:
     """Locating-dominating set workbench."""
 
@@ -155,19 +184,9 @@ def bound_cmd(input: str, mode: str, max_exact: int | None) -> None:
     timer.mark("parse")
     ceiling = max_exact if max_exact is not None else _default_max_exact()
     record = _base_record(g)
-    try:
-        record.update(_bound_record(g, mode, ceiling))
-        timer.mark("construct")
-        record["timings_ms"] = timer.phases
-    except TwinsPresent as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_TWINS)
-    except RefusedScale as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SCALE)
-    except BoundViolation as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BOUND)
+    record.update(_bound_record(g, mode, ceiling))
+    timer.mark("construct")
+    record["timings_ms"] = timer.phases
     click.echo(_dumps(record))
 
 
@@ -180,16 +199,11 @@ def solve(input: str, ceiling: int) -> None:
     g = _load_graph(input)
     timer.mark("parse")
     record = _base_record(g)
-    try:
-        l_opt = solver.min_locating(g, ceiling=ceiling)
-        ld_opt = solver.min_locating_dominating(g, ceiling=ceiling)
-        timer.mark("solve")
-        record["timings_ms"] = timer.phases
-    except RefusedScale as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SCALE)
-    assert location.is_locating(g, l_opt.witness)
-    assert location.is_locating_dominating(g, ld_opt.witness)
+    l_opt = solver.min_locating(g, ceiling=ceiling)
+    ld_opt = solver.min_locating_dominating(g, ceiling=ceiling)
+    timer.mark("solve")
+    record["timings_ms"] = timer.phases
+    _reverify(g, l_opt.witness, ld_opt.witness)
     record.update(
         {
             "l_exact": l_opt.size,
@@ -207,11 +221,7 @@ def partition2(input: str) -> None:
     """Search for a bipartition into two locating sets."""
     g = _load_graph(input)
     record = _base_record(g)
-    try:
-        w = solver.two_locating_partition(g)
-    except RefusedScale as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SCALE)
+    w = solver.two_locating_partition(g)
     record.update({"q1_found": w.found, "x": _vs(w.x), "y": _vs(w.y)})
     if not w.found and w.twin_free:
         click.echo("NOTE: twin-free graph with no two-locating-set partition", err=True)
@@ -225,14 +235,7 @@ def sk(input: str, k: int) -> None:
     """Maximum summed separation score over k-partitions of V."""
     g = _load_graph(input)
     record = _base_record(g)
-    try:
-        res = solver.s_k_of_graph(g, k)
-    except RefusedScale as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SCALE)
-    except LocdomError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+    res = solver.s_k_of_graph(g, k)
     record.update(
         {"k": k, "s_k": res.value, "blocks": [_vs(b) for b in res.witness_partition]}
     )
@@ -243,7 +246,7 @@ def sk(input: str, k: int) -> None:
 # Corpus sweeps.
 
 
-def _corpus_record(args: tuple[int, str, dict]) -> tuple[int, dict]:
+def _corpus_record(args: tuple[int, str, dict]) -> dict:
     index, line, opt = args
     record: dict = {"index": index}
     try:
@@ -251,7 +254,7 @@ def _corpus_record(args: tuple[int, str, dict]) -> tuple[int, dict]:
     except LocdomError as exc:
         record["error"] = str(exc)
         record["input"] = line
-        return index, record
+        return record
     record.update(_base_record(g))
     if record["twin_free"]:
         mode = "exact" if g.n <= opt["max_exact"] else "heuristic"
@@ -260,14 +263,14 @@ def _corpus_record(args: tuple[int, str, dict]) -> tuple[int, dict]:
         except BoundViolation as exc:
             record["bound_violation"] = str(exc)
         if g.n <= opt["solve_ceiling"]:
-            l_opt = solver.min_locating(g)
-            ld_opt = solver.min_locating_dominating(g)
+            l_opt = solver.min_locating(g, ceiling=opt["solve_ceiling"])
+            ld_opt = solver.min_locating_dominating(g, ceiling=opt["solve_ceiling"])
             record["l_exact"] = l_opt.size
             record["ld_exact"] = ld_opt.size
             record["conjecture_half"] = 2 * ld_opt.size <= g.n + (g.n & 1)
         if opt["q1"] and g.n <= solver.PARTITION2_CEILING:
             record["q1_found"] = solver.two_locating_partition(g).found
-    return index, record
+    return record
 
 
 @main.command()
@@ -283,10 +286,9 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
     if source.startswith("all:"):
         try:
             n = int(source.split(":", 1)[1])
-            lines = [graphs.encode_graph6(g) for g in graphs.all_labeled_graphs(n)]
-        except (ValueError, RefusedScale) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_SCALE if isinstance(exc, RefusedScale) else EXIT_PARSE)
+        except ValueError:
+            raise InvalidParameter(f"bad vertex count in {source!r}") from None
+        lines = [graphs.encode_graph6(g) for g in graphs.all_labeled_graphs(n)]
     else:
         text = _read_input(source)
         lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
@@ -296,19 +298,19 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
         "q1": not no_q1,
     }
     tasks = [(i, line, opt) for i, line in enumerate(lines)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_corpus_record, tasks, chunksize=64))
-    else:
-        results = [_corpus_record(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-
-    sink = open(out, "w", encoding="ascii") if out else sys.stdout
     per_n: dict[int, dict] = {}
     parse_errors = 0
     violations = []
-    try:
-        for _, record in results:
+    with contextlib.ExitStack() as stack:
+        sink = stack.enter_context(open(out, "w", encoding="ascii")) if out else sys.stdout
+        if jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            # at least four chunks per worker, so a short corpus still spreads out
+            chunksize = max(1, min(64, len(tasks) // (4 * jobs)))
+            records = pool.map(_corpus_record, tasks, chunksize=chunksize)
+        else:
+            records = map(_corpus_record, tasks)
+        for record in records:
             sink.write(_dumps(record) + "\n")
             if "error" in record:
                 parse_errors += 1
@@ -329,9 +331,6 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
                     violations.append(record["graph_id"])
                 if record.get("q1_found") is False:
                     stats["q1_not_found"] += 1
-    finally:
-        if out:
-            sink.close()
     summary = sys.stdout if out else sys.stderr
     summary.write("n,graphs,twin_free,max_ld,bound_violations,q1_not_found\n")
     for n in sorted(per_n):
@@ -356,21 +355,15 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
 @click.option("--count", type=int, default=1, help="gnp only: graphs for seeds seed..seed+count-1")
 def gen(kind, n, p, seed, count) -> None:
     """Emit generated graphs as graph6 lines."""
-    try:
-        if kind == "all":
-            for g in graphs.all_labeled_graphs(n):
-                click.echo(graphs.encode_graph6(g))
-        elif kind == "gnp":
-            for i in range(count):
-                click.echo(graphs.encode_graph6(graphs.generate("gnp", n, p, seed + i)))
-        else:
-            click.echo(graphs.encode_graph6(graphs.generate(kind, n)))
-    except RefusedScale as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SCALE)
-    except (LocdomError, TypeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+    if kind == "all":
+        for g in graphs.all_labeled_graphs(n):
+            click.echo(graphs.encode_graph6(g))
+    elif kind == "gnp":
+        for i in range(count):
+            g = graphs.generate("gnp", n, p, None if seed is None else seed + i)
+            click.echo(graphs.encode_graph6(g))
+    else:
+        click.echo(graphs.encode_graph6(graphs.generate(kind, n)))
 
 
 @main.command()

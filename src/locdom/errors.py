@@ -63,3 +63,7 @@ class TwinsPresent(LocdomError):
 
 class BoundViolation(LocdomError):
     """A certified witness exceeded its guaranteed size bound."""
+
+
+class VerificationFailed(LocdomError):
+    """A result failed its independent re-check; this is an implementation bug."""

@@ -29,10 +29,6 @@ ENUM_MAX_ORDER = 7  # 2^21 graphs at n=7 is the practical full-enumeration ceili
 _M64 = (1 << 64) - 1
 
 
-def bit(v: int) -> int:
-    return 1 << v
-
-
 def members(s: int) -> Iterator[int]:
     """Vertices of a bitmask set, in increasing order."""
     while s:
@@ -272,6 +268,8 @@ def all_labeled_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
     the pattern is the t-th pair in the column-major order
     (0,1),(0,2),(1,2),(0,3),...
     """
+    if n < 0:
+        raise InvalidParameter(f"negative vertex count {n}")
     if n > ENUM_MAX_ORDER and not allow_large:
         raise RefusedScale(f"full enumeration refused for n={n} > {ENUM_MAX_ORDER}")
     pairs = [(i, j) for j in range(n) for i in range(j)]

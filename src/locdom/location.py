@@ -30,13 +30,6 @@ class ClassPartition:
         return len(self.classes)
 
 
-@dataclass(frozen=True)
-class Representatives:
-    """Minimum-index member of each class of a ClassPartition."""
-
-    chosen: int
-
-
 def trace(g: Graph, v: int, x: int) -> int:
     return g.adj[v] & x
 
@@ -53,18 +46,22 @@ def x_partition(g: Graph, x: int, y: int) -> ClassPartition:
     return ClassPartition(y, tuple(groups.values()), tuple(groups.keys()))
 
 
-def representatives(part: ClassPartition) -> Representatives:
+def representatives(part: ClassPartition) -> int:
+    """Minimum-index member of each class of a ClassPartition."""
     chosen = 0
     for cls in part.classes:
         chosen |= cls & -cls
-    return Representatives(chosen)
+    return chosen
 
 
 def separation_score(g: Graph, a: int) -> int:
     """Number of distinct traces over the complement of a."""
-    comp = g.complement_set(a)
-    adj = g.adj
-    return len({adj[v] & a for v in members(comp)})
+    return len({row & a for v, row in enumerate(g.adj) if not a >> v & 1})
+
+
+def score_table(g: Graph) -> bytearray:
+    """separation_score of every subset, indexed by its bit pattern."""
+    return bytearray(separation_score(g, a) for a in range(1 << g.n))
 
 
 def distinguishes(g: Graph, x: int, v: int, v2: int) -> bool:

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .bound import EXACT_CEILING_DEFAULT, max_score_exact
 from .errors import InvalidParameter, RefusedScale
 from .graphs import Graph, is_twin_free
-from .location import is_locating, is_locating_dominating, separation_score
+from .location import is_locating, is_locating_dominating, score_table
 
 MIN_SET_CEILING = 16
 PARTITION2_CEILING = 20
@@ -122,16 +121,12 @@ def s_k_of_graph(g: Graph, k: int, ceiling: int = SK_CEILING) -> SkResult:
         raise RefusedScale(f"k-partition search refused for n={g.n} > {ceiling}")
     if not 1 <= k <= g.n:
         raise InvalidParameter(f"k={k} outside 1..{g.n}")
+    table = score_table(g)
     best = -1
     best_blocks: tuple[int, ...] = ()
     for blocks in _partitions_into_k(g.n, k):
-        value = sum(separation_score(g, blk) for blk in blocks)
+        value = sum(table[blk] for blk in blocks)
         if value > best:
             best = value
             best_blocks = blocks
     return SkResult(k, best, best_blocks, is_twin_free(g))
-
-
-def max_s2(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> int:
-    """Maximum of s(A) + s(complement(A)) over all subsets, A = empty and V included."""
-    return max_score_exact(g, ceiling=ceiling)[0]

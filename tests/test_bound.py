@@ -146,6 +146,21 @@ class TestMaxScoreExact:
             assert scored.sum == s
             assert scored.s_comp == best.bit_count()
 
+    def test_good_set_is_best_normalized_maximizer(self):
+        # reference: normalize every maximizer, then keep the largest k and,
+        # among those, the smallest bit pattern
+        def k_of(g, r):
+            return sum(cls.bit_count() >= 2 for cls in x_partition(g, r, g.complement_set(r)).classes)
+
+        for g in random_graphs(12, 6, 9, seed0=139):
+            s, best = max_score_exact(g)
+            images = {
+                derive_good_set(g, a, s_max=s)
+                for a in range(1 << g.n)
+                if ref_score_sum(g, to_set(a)) == s
+            }
+            assert best == min(images, key=lambda r: (-k_of(g, r), r))
+
     def test_refused_scale(self):
         g = random_graphs(1, 21, 21, p=0.1, seed0=101)[0]
         with pytest.raises(RefusedScale):

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import locdom
 from locdom.cli import EXIT_BOUND, EXIT_PARSE, EXIT_SCALE, EXIT_TWINS, main
+from locdom.graphs import encode_graph6, generate
 
 
 @pytest.fixture
@@ -63,6 +69,37 @@ class TestBound:
         assert result.exit_code == EXIT_SCALE
 
 
+# python -O strips assert statements; the witness re-check must still fire
+BAD_WITNESS_PATCHES = {
+    "bound": "r = bound.construct_ld\n"
+    "bound.construct_ld = lambda *a, **k: dataclasses.replace(r(*a, **k), witness=0)\n",
+    "solve": "solver.min_locating = lambda g, ceiling: solver.OptimumWitness(0, 0, 'locating')\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_WITNESS_PATCHES))
+def test_bad_witness_caught_under_optimize(command):
+    script = (
+        "import dataclasses\n"
+        "from locdom import bound, cli, solver\n"
+        + BAD_WITNESS_PATCHES[command]
+        + f"cli.main([{command!r}, '-'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(locdom.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        input="Ch\n",
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_PARSE, proc.stdout
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: locating witness failed")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 class TestSolve:
     def test_p4(self, runner):
         rec = run_json(runner, ["solve", "-"], input="Ch\n")
@@ -99,6 +136,11 @@ class TestGenConvert:
     def test_gen_all_counts(self, runner):
         result = runner.invoke(main, ["gen", "all", "3"])
         assert len(result.stdout.strip().splitlines()) == 8
+
+    def test_gen_gnp_without_seed(self, runner):
+        result = runner.invoke(main, ["gen", "gnp", "10", "--p", "0.5"])
+        assert result.exit_code == EXIT_PARSE
+        assert result.stderr.splitlines() == ["error: gnp requires a seed"]
 
     def test_gen_gnp_deterministic(self, runner):
         a = runner.invoke(main, ["gen", "gnp", "10", "--p", "0.5", "--seed", "1"]).stdout
@@ -141,6 +183,23 @@ class TestCorpus:
         assert len(records) == 3
         assert "error" in records[1]
         assert records[0]["graph_id"] == "Ch" and records[2]["graph_id"] == "Dhc"
+
+    def test_negative_order(self, runner):
+        result = runner.invoke(main, ["corpus", "all:-1"])
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: negative vertex count -1"]
+
+    def test_solve_ceiling_reaches_oracles(self, runner, tmp_path):
+        src = tmp_path / "p17.g6"
+        src.write_text(encode_graph6(generate("path", 17)) + "\n")
+        out = tmp_path / "reports.jsonl"
+        args = ["corpus", str(src), "--out", str(out), "--solve-ceiling", "17", "--no-q1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        record = json.loads(out.read_text())
+        assert record["ld_exact"] == 7  # ceil(2n/5) on the path P_n
+        assert record["l_exact"] <= record["ld_exact"] <= record["ld_upper"]
 
     def test_jobs_determinism(self, runner, tmp_path):
         out1 = tmp_path / "a.jsonl"

@@ -204,6 +204,10 @@ class TestEnumeration:
         with pytest.raises(RefusedScale):
             next(all_labeled_graphs(8))
 
+    def test_negative_order(self):
+        with pytest.raises(InvalidParameter):
+            next(all_labeled_graphs(-1))
+
     def test_override(self):
         it = all_labeled_graphs(8, allow_large=True)
         assert next(it).n == 8

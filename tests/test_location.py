@@ -9,6 +9,7 @@ from locdom.location import (
     is_locating,
     is_locating_dominating,
     representatives,
+    score_table,
     separation_score,
     trace,
     x_partition,
@@ -96,6 +97,10 @@ class TestSeparationScore:
             for a in range(1 << g.n):
                 assert separation_score(g, a) == ref_s(g, to_set(a))
 
+    def test_table_matches_reference(self):
+        for g in random_graphs(16, 1, 8, seed0=47):
+            assert list(score_table(g)) == [ref_s(g, to_set(a)) for a in range(1 << g.n)]
+
 
 class TestDistinguishes:
     def test_one_edge(self, p4):
@@ -178,16 +183,16 @@ class TestExtendToDominating:
 class TestRepresentatives:
     def test_min_rule(self, p4):
         part = x_partition(p4, set_of([0]), set_of([1, 2, 3]))
-        assert representatives(part).chosen == set_of([1, 2])
+        assert representatives(part) == set_of([1, 2])
 
     def test_empty(self, p4):
         part = x_partition(p4, p4.full_set, 0)
-        assert representatives(part).chosen == 0
+        assert representatives(part) == 0
 
     def test_meets_each_class_once(self):
         for g in random_graphs(15, 2, 9, seed0=67):
             for x in range(0, 1 << g.n, 7):
                 part = x_partition(g, x, g.complement_set(x))
-                chosen = representatives(part).chosen
+                chosen = representatives(part)
                 for c in part.classes:
                     assert (chosen & c).bit_count() == 1

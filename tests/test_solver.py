@@ -1,5 +1,6 @@
 import pytest
 
+from locdom.bound import max_score_exact
 from locdom.errors import InvalidParameter, RefusedScale
 from locdom.graphs import all_labeled_graphs, generate, is_twin_free, set_of
 from locdom.location import (
@@ -9,7 +10,6 @@ from locdom.location import (
 )
 from locdom.solver import (
     _partitions_into_k,
-    max_s2,
     min_locating,
     min_locating_dominating,
     s_k_of_graph,
@@ -106,13 +106,13 @@ class TestSk:
                 assert separation_score(g, 1 << v) in (1, 2)
 
     def test_p4_k2_equals_max_s2(self, p4):
-        assert s_k_of_graph(p4, 2).value == 4 == max_s2(p4)
+        assert s_k_of_graph(p4, 2).value == 4 == max_score_exact(p4)[0]
 
     def test_k2_equals_max_s2_generally(self):
         # 2-partitions are exactly the (A, complement) pairs with both sides
         # non-empty; empty-block sums never exceed the maximum for n >= 2
         for g in random_graphs(15, 2, 7, seed0=163):
-            assert s_k_of_graph(g, 2).value == max_s2(g)
+            assert s_k_of_graph(g, 2).value == max_score_exact(g)[0]
 
     def test_upper_bound(self):
         for g in random_graphs(10, 2, 6, seed0=167):
@@ -136,8 +136,8 @@ class TestSk:
 
 class TestMaxS2:
     def test_examples(self, p4, k1):
-        assert max_s2(p4) == 4
-        assert max_s2(k1) == 1
+        assert max_score_exact(p4)[0] == 4
+        assert max_score_exact(k1)[0] == 1
 
     def test_sandwich_with_constructive_bound(self):
         from locdom.bound import construct_locating
