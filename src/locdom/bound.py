@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from operator import add
 
 from .errors import (
     BoundViolation,
@@ -182,30 +181,43 @@ def derive_good_set(g: Graph, a: int, s_max: int | None = None) -> int:
 def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int, int]:
     """Exhaustive maximum S of the score sum, plus a k-maximal good set.
 
-    One table T of separation scores over all 2^n subsets gives
-    S = max(T[a] + T[V \\ a]).  The good maximizers are the r with
-    T[r] + T[V \\ r] = S and T[V \\ r] = |r|; they are exactly the images
-    of the maximizers under derive_good_set.  That normalization maps every
-    maximizer to a good maximizer (or raises), and every good maximizer r is
-    the image of V \\ r: the partition of r by traces on V \\ r has only
-    trivial classes, so its representatives are r itself.  Among the good
-    maximizers this returns the one with the largest number k of non-trivial
-    complement classes, ties broken by smallest bit pattern.
+    One table T of separation scores over all 2^n subsets (score_table,
+    built with whole-table bit-plane operations) gives the score sums
+    T[a] + T[V \\ a] as one integer addition: reading T's bytes in reverse
+    order is T at the complements.  S is the largest value present, found
+    from n downward since s(a) <= |V \\ a| and s(V \\ a) <= |a|.  The good
+    maximizers are the r with T[r] + T[V \\ r] = S and T[V \\ r] = |r|; they
+    are exactly the images of the maximizers under derive_good_set.  That
+    normalization maps every maximizer to a good maximizer (or raises), and
+    every good maximizer r is the image of V \\ r: the partition of r by
+    traces on V \\ r has only trivial classes, so its representatives are r
+    itself.  Among the good maximizers this returns the one with the largest
+    number k of non-trivial complement classes, ties broken by smallest bit
+    pattern.  Every non-trivial class has at least two members, so
+    k <= sum(|class| - 1) = (n - |r|) - T[r] = n - S on a good maximizer;
+    the walk over maximizers, in increasing bit pattern, stops at the first
+    good one reaching n - S (the first good one at all when S = n).
     """
     if g.n > ceiling:
         raise RefusedScale(f"exact maximization refused for n={g.n} > {ceiling}")
+    n = g.n
+    full = g.full_set
     table = score_table(g)
-    best_sum = max(map(add, table, reversed(table)))
+    sums = (int.from_bytes(table, "little") + int.from_bytes(table, "big")).to_bytes(len(table), "little")
+    best_sum = next(s for s in range(n, -1, -1) if s in sums)
     best_good = None
     best_k = -1
-    for r, (s_r, s_comp) in enumerate(zip(table, reversed(table))):
-        if s_r + s_comp != best_sum or s_comp != r.bit_count():
-            continue
-        part = x_partition(g, r, g.complement_set(r))
-        k = sum(1 for cls in part.classes if cls.bit_count() >= 2)
-        if k > best_k:
-            best_k = k
-            best_good = r
+    r = sums.find(best_sum)
+    while r >= 0:
+        if table[full ^ r] == r.bit_count():
+            part = x_partition(g, r, full ^ r)
+            k = sum(1 for cls in part.classes if cls.bit_count() >= 2)
+            if k > best_k:
+                best_k = k
+                best_good = r
+                if k == n - best_sum:
+                    break
+        r = sums.find(best_sum, r + 1)
     if best_good is None:
         raise Infeasible("no maximizer of the score sum is a good set")
     return best_sum, best_good

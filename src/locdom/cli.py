@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 parse error or any other locdom error (invalid
 parameter, failed re-verification), 3 twins present, 4 refused scale,
 5 bound violation, 1 anything else.  Single-graph commands print one JSON
 report; ``corpus`` streams JSON-lines records (one per input graph, in
-input order regardless of --jobs) and a CSV summary.
+input order regardless of --jobs) and a CSV summary.  A record that fails
+gets an ``error`` field and the sweep goes on; it exits 2 at the end.
 """
 
 from __future__ import annotations
@@ -228,7 +229,11 @@ def partition2(input: str) -> None:
     click.echo(_dumps(record))
 
 
-@main.command()
+# negative numbers pass as arguments, so the command's own check reports them
+_NUMERIC_ARGS = {"ignore_unknown_options": True}
+
+
+@main.command(context_settings=_NUMERIC_ARGS)
 @click.argument("input", default="-")
 @click.argument("k", type=int)
 def sk(input: str, k: int) -> None:
@@ -257,20 +262,28 @@ def _corpus_record(args: tuple[int, str, dict]) -> dict:
         return record
     record.update(_base_record(g))
     if record["twin_free"]:
-        mode = "exact" if g.n <= opt["max_exact"] else "heuristic"
         try:
-            record.update(_bound_record(g, mode, opt["max_exact"]))
-        except BoundViolation as exc:
-            record["bound_violation"] = str(exc)
-        if g.n <= opt["solve_ceiling"]:
-            l_opt = solver.min_locating(g, ceiling=opt["solve_ceiling"])
-            ld_opt = solver.min_locating_dominating(g, ceiling=opt["solve_ceiling"])
-            record["l_exact"] = l_opt.size
-            record["ld_exact"] = ld_opt.size
-            record["conjecture_half"] = 2 * ld_opt.size <= g.n + (g.n & 1)
-        if opt["q1"] and g.n <= solver.PARTITION2_CEILING:
-            record["q1_found"] = solver.two_locating_partition(g).found
+            _twin_free_fields(g, opt, record)
+        except LocdomError as exc:  # one failing record must not end the sweep
+            record["error"] = f"{type(exc).__name__}: {exc}"
     return record
+
+
+def _twin_free_fields(g: graphs.Graph, opt: dict, record: dict) -> None:
+    """Add the bound, the oracles and q1 to the record of a twin-free graph."""
+    mode = "exact" if g.n <= opt["max_exact"] else "heuristic"
+    try:
+        record.update(_bound_record(g, mode, opt["max_exact"]))
+    except BoundViolation as exc:
+        record["bound_violation"] = str(exc)
+    if g.n <= opt["solve_ceiling"]:
+        l_opt = solver.min_locating(g, ceiling=opt["solve_ceiling"])
+        ld_opt = solver.min_locating_dominating(g, ceiling=opt["solve_ceiling"])
+        record["l_exact"] = l_opt.size
+        record["ld_exact"] = ld_opt.size
+        record["conjecture_half"] = 2 * ld_opt.size <= g.n + (g.n & 1)
+    if opt["q1"] and g.n <= solver.PARTITION2_CEILING:
+        record["q1_found"] = solver.two_locating_partition(g).found
 
 
 @main.command()
@@ -299,7 +312,7 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
     }
     tasks = [(i, line, opt) for i, line in enumerate(lines)]
     per_n: dict[int, dict] = {}
-    parse_errors = 0
+    failed = 0
     violations = []
     with contextlib.ExitStack() as stack:
         sink = stack.enter_context(open(out, "w", encoding="ascii")) if out else sys.stdout
@@ -313,7 +326,7 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
         for record in records:
             sink.write(_dumps(record) + "\n")
             if "error" in record:
-                parse_errors += 1
+                failed += 1
                 click.echo(f"error: line {record['index'] + 1}: {record['error']}", err=True)
                 continue
             stats = per_n.setdefault(
@@ -343,11 +356,11 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
         click.echo(f"BOUND VIOLATION: {g6}", err=True)
     if violations:
         sys.exit(EXIT_BOUND)
-    if parse_errors:
+    if failed:
         sys.exit(EXIT_PARSE)
 
 
-@main.command()
+@main.command(context_settings=_NUMERIC_ARGS)
 @click.argument("kind", type=click.Choice(list(graphs.GENERATOR_KINDS) + ["all"]))
 @click.argument("n", type=int)
 @click.option("--p", type=float, default=None)

@@ -59,9 +59,63 @@ def separation_score(g: Graph, a: int) -> int:
     return len({row & a for v, row in enumerate(g.adj) if not a >> v & 1})
 
 
-def score_table(g: Graph) -> bytearray:
-    """separation_score of every subset, indexed by its bit pattern."""
-    return bytearray(separation_score(g, a) for a in range(1 << g.n))
+# binary digits to byte values 0 and 2^j, one table per counter plane j
+_DIGIT_TO_BYTE = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
+
+
+def score_table(g: Graph) -> bytes:
+    """separation_score of every subset, indexed by its bit pattern.
+
+    Bit-sliced: a predicate over all subsets is one 2^n-bit int whose bit a
+    is its value at subset a, so each step below is one whole-table integer
+    operation.  out[w] is "w not in a", built by doubling a run of 2^w ones.
+    Outside a, u < v share a trace iff a misses N(u) xor N(v), so dup_v, the
+    OR over u < v of out[u] ANDed with out[w] for every other w in that
+    difference (v itself is left to out[v]), marks the subsets where an
+    earlier vertex outside a has v's trace.  first_v = out[v] & ~dup_v then marks where v is the
+    first of its trace class, and T[a] = sum over v of first_v(a).  The sum
+    runs in bit-sliced counters, each counter plane is spread to one byte
+    per subset through its binary digits, and the byte planes are ORed
+    together.  About n^3/4 whole-table operations in all.
+    """
+    n = g.n
+    size = 1 << n
+    adj = g.adj
+    out = []
+    for w in range(n):
+        width = 1 << w
+        plane = (1 << width) - 1
+        width <<= 1
+        while width < size:
+            plane |= plane << width
+            width <<= 1
+        out.append(plane)
+    counters: list[int] = []  # counters[j] holds bit j of the running T
+    for v, row in enumerate(adj):
+        dup = 0
+        for u in range(v):
+            term = out[u]
+            diff = (adj[u] ^ row) & ~(1 << u | 1 << v)
+            while diff:
+                low = diff & -diff
+                term &= out[low.bit_length() - 1]
+                diff ^= low
+            dup |= term
+        carry = out[v] & ~dup
+        for j, c in enumerate(counters):
+            counters[j] = c ^ carry
+            carry &= c
+            if not carry:
+                break
+        if carry:
+            counters.append(carry)
+    del out  # the n planes are not needed for the byte stage
+    digits = f"0{size}b"
+    total = 0
+    for j, c in enumerate(counters):
+        # format puts bit size-1 first, so big-endian bytes put bit a at byte a
+        total |= int.from_bytes(format(c, digits).encode().translate(_DIGIT_TO_BYTE[j]), "big")
+    return total.to_bytes(size, "little")
 
 
 def distinguishes(g: Graph, x: int, v: int, v2: int) -> bool:

@@ -152,7 +152,10 @@ class TestMaxScoreExact:
         def k_of(g, r):
             return sum(cls.bit_count() >= 2 for cls in x_partition(g, r, g.complement_set(r)).classes)
 
-        for g in random_graphs(12, 6, 9, seed0=139):
+        # all graphs with n <= 5, twins included: 184 of them have S < n,
+        # where the walk over maximizers stops early only at k = n - S > 0
+        small = [g for n in range(6) for g in all_labeled_graphs(n)]
+        for g in small + random_graphs(12, 6, 9, seed0=139):
             s, best = max_score_exact(g)
             images = {
                 derive_good_set(g, a, s_max=s)

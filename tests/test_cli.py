@@ -8,7 +8,9 @@ import pytest
 from click.testing import CliRunner
 
 import locdom
+from locdom import bound
 from locdom.cli import EXIT_BOUND, EXIT_PARSE, EXIT_SCALE, EXIT_TWINS, main
+from locdom.errors import VerificationFailed
 from locdom.graphs import encode_graph6, generate
 
 
@@ -127,11 +129,21 @@ class TestQuestionTools:
         result = runner.invoke(main, ["sk", "-", "9"], input="Ch\n")
         assert result.exit_code == EXIT_PARSE
 
+    def test_sk_negative_k(self, runner):
+        result = runner.invoke(main, ["sk", "-", "-1"], input="Ch\n")
+        assert result.exit_code == EXIT_PARSE
+        assert result.stderr.splitlines() == ["error: k=-1 outside 1..4"]
+
 
 class TestGenConvert:
     def test_gen_path(self, runner):
         result = runner.invoke(main, ["gen", "path", "4"])
         assert result.stdout.strip() == "Ch"
+
+    def test_gen_negative_order(self, runner):
+        result = runner.invoke(main, ["gen", "path", "-1"])
+        assert result.exit_code == EXIT_PARSE
+        assert result.stderr.splitlines() == ["error: negative vertex count -1"]
 
     def test_gen_all_counts(self, runner):
         result = runner.invoke(main, ["gen", "all", "3"])
@@ -183,6 +195,26 @@ class TestCorpus:
         assert len(records) == 3
         assert "error" in records[1]
         assert records[0]["graph_id"] == "Ch" and records[2]["graph_id"] == "Dhc"
+
+    def test_failing_record_isolated(self, runner, tmp_path, monkeypatch):
+        real = bound.construct_ld
+
+        def fail_on_c5(g, **kwargs):
+            if encode_graph6(g) == "Dhc":
+                raise VerificationFailed("planted failure")
+            return real(g, **kwargs)
+
+        monkeypatch.setattr(bound, "construct_ld", fail_on_c5)
+        src = tmp_path / "three.g6"
+        src.write_text("Ch\nDhc\nCh\n")
+        out = tmp_path / "reports.jsonl"
+        result = runner.invoke(main, ["corpus", str(src), "--jobs", "1", "--out", str(out)])
+        assert result.exit_code == EXIT_PARSE
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["index"] for r in records] == [0, 1, 2]
+        assert records[1]["error"] == "VerificationFailed: planted failure"
+        assert records[0] == dict(records[2], index=0) and "error" not in records[2]
+        assert result.stderr.splitlines() == ["error: line 2: VerificationFailed: planted failure"]
 
     def test_negative_order(self, runner):
         result = runner.invoke(main, ["corpus", "all:-1"])

@@ -1,7 +1,7 @@
 import pytest
 
 from locdom.errors import DomainViolation, PreconditionViolated
-from locdom.graphs import set_of
+from locdom.graphs import new_graph, set_of
 from locdom.location import (
     distinguishes,
     extend_to_dominating,
@@ -98,7 +98,9 @@ class TestSeparationScore:
                 assert separation_score(g, a) == ref_s(g, to_set(a))
 
     def test_table_matches_reference(self):
-        for g in random_graphs(16, 1, 8, seed0=47):
+        # n = 0 is the one-entry table; n < 3 has planes narrower than a byte
+        graphs = [new_graph(0, [])] + random_graphs(16, 1, 8, seed0=47) + random_graphs(8, 9, 12, seed0=53)
+        for g in graphs:
             assert list(score_table(g)) == [ref_s(g, to_set(a)) for a in range(1 << g.n)]
 
 
