@@ -9,6 +9,7 @@ neighborhood N(v).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -129,47 +130,51 @@ def encode_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+# each graph6 character to its six bits, most significant first
+_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+_G6_OUTSIDE = re.compile(r"[^?-~]")  # '?' .. '~' are the 64 graph6 characters
+
+
 def decode_graph6(text: str) -> Graph:
     line = text.strip()
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
     if not line:
         raise MalformedGraph6("empty graph6 string")
-    vals = []
-    for ch in line:
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise MalformedGraph6(f"character {ch!r} outside graph6 alphabet")
-        vals.append(c - 63)
-    if vals[0] == 63:  # '~': extended order
-        if len(vals) >= 2 and vals[1] == 63:
+    bad = _G6_OUTSIDE.search(line)
+    if bad:
+        raise MalformedGraph6(f"character {bad.group()!r} outside graph6 alphabet")
+    if line[0] == "~":  # extended order
+        if line[1:2] == "~":
             raise MalformedGraph6("8-byte order form not supported")
-        if len(vals) < 4:
+        if len(line) < 4:
             raise MalformedGraph6("truncated extended order")
-        n = vals[1] << 12 | vals[2] << 6 | vals[3]
-        body = vals[4:]
+        n = int(line[1:4].translate(_G6_BITS), 2)
+        body = line[4:]
     else:
-        n = vals[0]
-        body = vals[1:]
+        n = ord(line[0]) - 63
+        body = line[1:]
     nbits = n * (n - 1) // 2
     nchunks = (nbits + 5) // 6
     if len(body) < nchunks:
         raise MalformedGraph6(f"truncated bit stream: {len(body)} < {nchunks} chunks")
     if len(body) > nchunks:
         raise MalformedGraph6("trailing characters after adjacency bits")
-    adj = [0] * n
-    stream = 0
-    for v in body:
-        stream = stream << 6 | v
-    shift = nchunks * 6
-    for j in range(n):
-        for i in range(j):
-            shift -= 1
-            if stream >> shift & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    if shift and stream & ((1 << shift) - 1):
+    bits = body.translate(_G6_BITS)
+    if "1" in bits[nbits:]:
         raise MalformedGraph6("nonzero padding bits")
+    # column j of the upper triangle, pairs (0,j)..(j-1,j), is one slice of
+    # the stream; its reverse read in base 2 is N(j) below j
+    adj = [0] * n
+    start = 0
+    for j in range(1, n):
+        below = int(bits[start : start + j][::-1], 2)
+        start += j
+        adj[j] = below
+        while below:
+            low = below & -below
+            adj[low.bit_length() - 1] |= 1 << j
+            below ^= low
     return Graph(n, tuple(adj))
 
 
@@ -299,8 +304,5 @@ def find_twins(g: Graph) -> list[TwinPair]:
 
 
 def is_twin_free(g: Graph) -> bool:
-    for v in range(g.n):
-        for u in range(v):
-            if g.adj[u] == g.adj[v] or g.adj[u] | 1 << u == g.adj[v] | 1 << v:
-                return False
-    return True
+    """No open twins (equal rows) and no closed twins (equal rows with the diagonal)."""
+    return len(set(g.adj)) == g.n and len({row | 1 << v for v, row in enumerate(g.adj)}) == g.n

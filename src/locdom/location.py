@@ -9,6 +9,7 @@ classes, and dominating when every outside vertex has a non-empty trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DomainViolation, PreconditionViolated
 from .graphs import Graph, members
@@ -59,6 +60,35 @@ def separation_score(g: Graph, a: int) -> int:
     return len({row & a for v, row in enumerate(g.adj) if not a >> v & 1})
 
 
+def absent_planes(n: int) -> list[int]:
+    """The planes "w not in a" for w < n, over the 2^n subsets a of 0..n-1.
+
+    A plane is one 2^n-bit int whose bit a is the predicate's value at the
+    subset with bit pattern a.  From bit 0 up, plane w alternates runs of
+    2^w ones and 2^w zeros; it is built by doubling the first run.
+    """
+    size = 1 << n
+    out = []
+    for w in range(n):
+        width = 1 << w
+        plane = (1 << width) - 1
+        width <<= 1
+        while width < size:
+            plane |= plane << width
+            width <<= 1
+        out.append(plane)
+    return out
+
+
+def and_over(planes: Sequence[int], s: int, acc: int) -> int:
+    """acc ANDed with planes[w] for every member w of s."""
+    while s:
+        low = s & -s
+        acc &= planes[low.bit_length() - 1]
+        s ^= low
+    return acc
+
+
 # binary digits to byte values 0 and 2^j, one table per counter plane j
 _DIGIT_TO_BYTE = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 
@@ -68,7 +98,7 @@ def score_table(g: Graph) -> bytes:
 
     Bit-sliced: a predicate over all subsets is one 2^n-bit int whose bit a
     is its value at subset a, so each step below is one whole-table integer
-    operation.  out[w] is "w not in a", built by doubling a run of 2^w ones.
+    operation.  out[w] is "w not in a" (absent_planes).
     Outside a, u < v share a trace iff a misses N(u) xor N(v), so dup_v, the
     OR over u < v of out[u] ANDed with out[w] for every other w in that
     difference (v itself is left to out[v]), marks the subsets where an
@@ -81,26 +111,12 @@ def score_table(g: Graph) -> bytes:
     n = g.n
     size = 1 << n
     adj = g.adj
-    out = []
-    for w in range(n):
-        width = 1 << w
-        plane = (1 << width) - 1
-        width <<= 1
-        while width < size:
-            plane |= plane << width
-            width <<= 1
-        out.append(plane)
+    out = absent_planes(n)
     counters: list[int] = []  # counters[j] holds bit j of the running T
     for v, row in enumerate(adj):
         dup = 0
         for u in range(v):
-            term = out[u]
-            diff = (adj[u] ^ row) & ~(1 << u | 1 << v)
-            while diff:
-                low = diff & -diff
-                term &= out[low.bit_length() - 1]
-                diff ^= low
-            dup |= term
+            dup |= and_over(out, (adj[u] ^ row) & ~(1 << u | 1 << v), out[u])
         carry = out[v] & ~dup
         for j, c in enumerate(counters):
             counters[j] = c ^ carry

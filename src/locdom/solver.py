@@ -1,25 +1,40 @@
 """Brute-force oracles and exhaustive search tools.
 
-Everything here is deliberately simple exhaustive search, independent of the
-constructive pipeline, so the two can check each other: minimum locating and
+Everything here is exhaustive search, independent of the constructive
+pipeline, so the two can check each other: minimum locating and
 locating-dominating sets by increasing cardinality, the two-locating-sets
 bipartition search, and the maximum summed separation score over
 k-partitions.
+
+The first three test every subset at once on bit planes, as
+location.score_table does: a predicate over the subsets x of the c lowest
+vertices is one 2^c-bit int whose bit x is its value at x.  Two vertices
+u < v are both outside x with equal traces iff x misses
+M_uv = (N(u) xor N(v)) | {u, v}, so "x is not locating" is the OR over the
+pairs of the AND over M_uv of "w not in x"; "V \\ x is not locating" is the
+same plane read at complements.  The minimum sets take the smallest size
+whose plane of r-subsets meets the good plane; the bipartition search
+walks blocks of 2^16 subsets.  The pair planes of the last graph are
+memoized (a one-entry lru_cache keyed by the frozen Graph), so the oracles
+called in turn on one graph, as a corpus record does, build them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import InvalidParameter, RefusedScale
 from .graphs import Graph, is_twin_free
-from .location import is_locating, is_locating_dominating, score_table
+from .location import absent_planes, and_over, score_table
 
 MIN_SET_CEILING = 16
 PARTITION2_CEILING = 20
 SK_CEILING = 10
+
+# the bipartition search runs over blocks of the subsets of this many low vertices
+_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -45,27 +60,93 @@ class SkResult:
     twin_free: bool
 
 
-def _min_verifying(g: Graph, predicate, kind: str, ceiling: int) -> OptimumWitness:
+@lru_cache(maxsize=1)
+def _pair_planes(g: Graph, c: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Bit planes over the subsets x of the vertices below c.
+
+    Returns the planes "w not in x" (absent_planes) and, for each high part
+    H = M_uv >> c of some pair u < v, the pair (H, plane) whose plane is the
+    OR over the pairs with that high part of "x misses the low part of
+    M_uv".  With the vertices from c up fixed to a pattern h, x misses M_uv
+    iff H misses h and that plane holds.  Tuples, as every caller of the
+    memo shares them.
+    """
+    out = tuple(absent_planes(c))
+    full = (1 << (1 << c)) - 1
+    low_part = (1 << c) - 1
+    adj = g.adj
+    groups: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        for u in range(v):
+            m = adj[u] ^ row | 1 << u | 1 << v
+            groups[m >> c] = groups.get(m >> c, 0) | and_over(out, m & low_part, full)
+    return out, tuple(groups.items())
+
+
+def _not_locating(groups: tuple[tuple[int, int], ...], h: int) -> int:
+    """Plane of the low parts x for which h << c | x is not locating."""
+    bad = 0
+    for high, miss in groups:
+        if not high & h:
+            bad |= miss
+    return bad
+
+
+# bit j of byte b moved to bit 7 - j
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _at_complements(plane: int, c: int) -> int:
+    """The 2^c-bit plane read at complements: bit x becomes bit 2^c - 1 - x."""
+    size = 1 << c
+    nbytes = (size + 7) >> 3
+    flipped = plane.to_bytes(nbytes, "little").translate(_REVERSED_BYTE)
+    return int.from_bytes(flipped, "big") >> (nbytes * 8 - size)
+
+
+@lru_cache(maxsize=1)
+def _size_planes(n: int) -> tuple[int, ...]:
+    """planes[r] has bit x set iff |x| = r, over the 2^n subsets x of 0..n-1."""
+    planes = [1]
+    for w in range(n):
+        width = 1 << w
+        planes = [p | q << width for p, q in zip(planes + [0], [0] + planes)]
+    return tuple(planes)
+
+
+def _min_good(g: Graph, dominating: bool, ceiling: int) -> OptimumWitness:
+    """Smallest x that is locating (and dominating), first in combinations order."""
     if g.n > ceiling:
         raise RefusedScale(f"oracle refused for n={g.n} > {ceiling}")
-    for r in range(g.n + 1):
-        for combo in combinations(range(g.n), r):
-            x = 0
-            for v in combo:
-                x |= 1 << v
-            if predicate(g, x):
-                return OptimumWitness(r, x, kind)
-    raise AssertionError("V itself always verifies; unreachable")
+    out, groups = _pair_planes(g, g.n)
+    bad = _not_locating(groups, 0)
+    if dominating:
+        full = (1 << (1 << g.n)) - 1
+        for v, row in enumerate(g.adj):  # x misses N[v]: v is not dominated
+            bad |= and_over(out, row | 1 << v, full)
+    for size, plane in enumerate(_size_planes(g.n)):
+        cand = plane & ~bad
+        if cand:
+            break
+    # combinations order among equal sizes: the set holding the smallest
+    # element where two sets differ comes first, so keep each w in turn
+    # whenever some remaining candidate holds it
+    for plane in out:
+        held = cand & ~plane
+        if held:
+            cand = held
+    kind = "locating_dominating" if dominating else "locating"
+    return OptimumWitness(size, cand.bit_length() - 1, kind)
 
 
 def min_locating(g: Graph, ceiling: int = MIN_SET_CEILING) -> OptimumWitness:
     """L(G): smallest locating set, lexicographically first witness."""
-    return _min_verifying(g, is_locating, "locating", ceiling)
+    return _min_good(g, False, ceiling)
 
 
 def min_locating_dominating(g: Graph, ceiling: int = MIN_SET_CEILING) -> OptimumWitness:
-    """LD(G): smallest locating-dominating set."""
-    return _min_verifying(g, is_locating_dominating, "locating_dominating", ceiling)
+    """LD(G): smallest locating-dominating set, lexicographically first witness."""
+    return _min_good(g, True, ceiling)
 
 
 def two_locating_partition(g: Graph, ceiling: int = PARTITION2_CEILING) -> PartitionWitness:
@@ -73,19 +154,26 @@ def two_locating_partition(g: Graph, ceiling: int = PARTITION2_CEILING) -> Parti
 
     Vertex 0 is pinned to X to halve the space; the first witness in
     increasing order of X's bit pattern is returned.  Twins are permitted;
-    the result carries a twin_free flag instead.
+    the result carries a twin_free flag instead.  The vertices from
+    _BLOCK_BITS up are fixed to each high pattern h in turn, and the block
+    of 2^_BLOCK_BITS choices below them is tested as one plane.
     """
     if g.n > ceiling:
         raise RefusedScale(f"bipartition search refused for n={g.n} > {ceiling}")
     tf = is_twin_free(g)
     if g.n == 0:
         return PartitionWitness(0, 0, True, tf)
-    full = g.full_set
-    for m in range(1 << (g.n - 1)):
-        x = m << 1 | 1
-        y = full ^ x
-        if is_locating(g, x) and is_locating(g, y):
-            return PartitionWitness(x, y, True, tf)
+    c = min(g.n, _BLOCK_BITS)
+    out, groups = _pair_planes(g, c)
+    pinned = ((1 << (1 << c)) - 1) ^ out[0]
+    high_part = (1 << (g.n - c)) - 1
+    for h in range(high_part + 1):
+        # V - x is the complement of h above c and of x's low part below it
+        comp_bad = _at_complements(_not_locating(groups, high_part ^ h), c)
+        good = pinned & ~_not_locating(groups, h) & ~comp_bad
+        if good:
+            x = h << c | (good & -good).bit_length() - 1
+            return PartitionWitness(x, g.full_set ^ x, True, tf)
     return PartitionWitness(0, 0, False, tf)
 
 

@@ -64,13 +64,30 @@ def ref_is_dominating(g, x_set):
     return all(nbr[v] & x_set for v in set(range(g.n)) - x_set)
 
 
-def ref_min_size(g, dominating=False):
+def ref_min_witness(g, dominating=False):
+    """First locating (and dominating) set in increasing size, combinations order."""
     for r in range(g.n + 1):
         for c in combinations(range(g.n), r):
             x = set(c)
             if ref_is_locating(g, x) and (not dominating or ref_is_dominating(g, x)):
-                return r
+                return x
     raise AssertionError("unreachable")
+
+
+def ref_min_size(g, dominating=False):
+    return len(ref_min_witness(g, dominating))
+
+
+def ref_first_bipartition(g):
+    """X of the smallest odd bit pattern with X and V - X both locating, or None."""
+    if g.n == 0:
+        return set()  # the empty graph splits into two empty sets
+    verts = set(range(g.n))
+    for x in range(1, 1 << g.n, 2):
+        x_set = to_set(x)
+        if ref_is_locating(g, x_set) and ref_is_locating(g, verts - x_set):
+            return x_set
+    return None
 
 
 def ref_twins(g):

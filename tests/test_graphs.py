@@ -86,19 +86,28 @@ class TestGraph6:
             assert decode_graph6(encode_graph6(g)) == g
 
     def test_extended_order_roundtrip(self):
-        g = generate("gnp", 100, 0.05, seed=3)
-        enc = encode_graph6(g)
-        assert enc.startswith("~")
-        assert decode_graph6(enc) == g
+        # n = 63 is the first order written in the four-character "~" form
+        for n, p in ((63, 0.3), (100, 0.05), (300, 0.2)):
+            g = generate("gnp", n, p, seed=3)
+            enc = encode_graph6(g)
+            assert enc.startswith("~")
+            assert decode_graph6(enc) == g
+
+    def test_extended_order_malformed(self):
+        with pytest.raises(MalformedGraph6):
+            decode_graph6("~??")  # order cut short
+        with pytest.raises(MalformedGraph6):
+            decode_graph6("~~??????")  # eight-character order form
 
     def test_matches_networkx(self):
         nx = pytest.importorskip("networkx")
-        for g in random_graphs(30, 1, 40, p=0.3, seed0=11):
+        for g in random_graphs(30, 1, 40, p=0.3, seed0=11) + [generate("gnp", 200, 0.3, seed=11)]:
             ref = nx.Graph()
             ref.add_nodes_from(range(g.n))
             ref.add_edges_from(g.edges())
             expected = nx.to_graph6_bytes(ref, header=False).decode().strip()
             assert encode_graph6(g) == expected
+            assert decode_graph6(expected) == g
             back = nx.from_graph6_bytes(encode_graph6(g).encode())
             assert sorted(back.edges()) == sorted(tuple(sorted(e)) for e in g.edges())
 
@@ -228,8 +237,21 @@ class TestTwins:
     def test_k1(self, k1):
         assert is_twin_free(k1)
 
+    @staticmethod
+    def _plant_twin(g, u, v, kind):
+        """g with N(v) rewired so that u and v become open or closed twins."""
+        edges = [e for e in g.edges() if v not in e]
+        edges += [(v, w) for w in members(g.adj[u]) if w != v]
+        if kind == "closed":
+            edges.append((u, v))
+        return new_graph(g.n, edges)
+
     def test_matches_reference(self):
-        for g in random_graphs(40, 1, 10, p=0.5, seed0=23):
+        large = []
+        for i, n in enumerate((60, 100, 140, 200)):
+            g = generate("gnp", n, 0.3, seed=29 + i)
+            large += [g, self._plant_twin(g, n // 3, n - 1, "open"), self._plant_twin(g, 1, n // 2, "closed")]
+        for g in random_graphs(40, 1, 10, p=0.5, seed0=23) + large:
             got = sorted((t.u, t.v, t.kind) for t in find_twins(g))
             assert got == sorted(ref_twins(g))
             assert is_twin_free(g) == (not ref_twins(g))

@@ -2,13 +2,14 @@ import pytest
 
 from locdom.bound import max_score_exact
 from locdom.errors import InvalidParameter, RefusedScale
-from locdom.graphs import all_labeled_graphs, generate, is_twin_free, set_of
+from locdom.graphs import all_labeled_graphs, generate, is_twin_free, new_graph, set_of
 from locdom.location import (
     is_locating,
     is_locating_dominating,
     separation_score,
 )
 from locdom.solver import (
+    PartitionWitness,
     _partitions_into_k,
     min_locating,
     min_locating_dominating,
@@ -17,7 +18,7 @@ from locdom.solver import (
 )
 
 from conftest import random_graphs
-from oracles import ref_min_size
+from oracles import ref_first_bipartition, ref_min_size, ref_min_witness, to_set
 
 
 class TestMinSets:
@@ -78,6 +79,53 @@ class TestTwoLocatingPartition:
     def test_refused_scale(self):
         with pytest.raises(RefusedScale):
             two_locating_partition(generate("path", 21))
+
+
+def _witness_family():
+    """All labeled graphs with n <= 5, gnp graphs up to n = 10, P_n and C_n for n <= 14."""
+    out = [g for n in range(6) for g in all_labeled_graphs(n)]
+    out += random_graphs(60, 1, 10, seed0=191)
+    out += [generate(kind, n) for kind in ("path", "cycle") for n in range(1, 15)]
+    return out
+
+
+class TestWitnessesPinned:
+    # recorded from the per-subset searches these oracles replaced
+    BIPARTITION_X = {
+        ("path", 17): 21141, ("path", 18): 42281, ("path", 19): 84563, ("path", 20): 169125,
+        ("cycle", 17): 10571, ("cycle", 18): 21141, ("cycle", 19): 42283, ("cycle", 20): 84563,
+    }
+
+    def test_min_witnesses_match_reference(self):
+        for g in _witness_family():
+            assert to_set(min_locating(g).witness) == ref_min_witness(g)
+            assert to_set(min_locating_dominating(g).witness) == ref_min_witness(g, dominating=True)
+
+    def test_first_bipartition_matches_reference(self):
+        for g in _witness_family():
+            w = two_locating_partition(g)
+            ref = ref_first_bipartition(g)
+            assert w.found == (ref is not None)
+            assert to_set(w.x) == (ref or set())
+            assert w.y == (g.full_set ^ w.x if w.found else 0)
+
+    @pytest.mark.parametrize("kind,n", list(BIPARTITION_X))
+    def test_large_bipartitions(self, kind, n):
+        g = generate(kind, n)
+        w = two_locating_partition(g)
+        assert w.found and w.x == self.BIPARTITION_X[kind, n]
+        assert w.y == g.full_set ^ w.x
+        assert is_locating(g, w.x) and is_locating(g, w.y)
+
+    def test_large_none_found(self):
+        # the 17 leaves of a star are open twins: at most one may lie
+        # outside X and at most one outside Y, so no block holds a witness
+        star = new_graph(18, [(0, v) for v in range(1, 18)])
+        assert two_locating_partition(star) == PartitionWitness(0, 0, False, False)
+
+    def test_min_ld_p18(self):
+        w = min_locating_dominating(generate("path", 18), ceiling=18)
+        assert (w.size, w.witness) == (8, 84563)
 
 
 class TestPartitionEnumeration:
