@@ -12,11 +12,13 @@ vertices is one 2^c-bit int whose bit x is its value at x.  Two vertices
 u < v are both outside x with equal traces iff x misses
 M_uv = (N(u) xor N(v)) | {u, v}, so "x is not locating" is the OR over the
 pairs of the AND over M_uv of "w not in x"; "V \\ x is not locating" is the
-same plane read at complements.  The minimum sets take the smallest size
-whose plane of r-subsets meets the good plane; the bipartition search
-walks blocks of 2^16 subsets.  The pair planes of the last graph are
-memoized (a one-entry lru_cache keyed by the frozen Graph), so the oracles
-called in turn on one graph, as a corpus record does, build them once.
+same plane read at complements.  With c = min(n, 16), all three fix the
+vertices from c up to each high pattern in turn and test the 2^c subsets
+below as one block, so a raised ceiling costs time, not memory.  The
+minimum sets take the smallest size whose plane of r-subsets meets a
+block's good plane.  The pair planes of the last graph are memoized (a
+one-entry lru_cache keyed by the frozen Graph), so the oracles called in
+turn on one graph, as a corpus record does, build them once.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ MIN_SET_CEILING = 16
 PARTITION2_CEILING = 20
 SK_CEILING = 10
 
-# the bipartition search runs over blocks of the subsets of this many low vertices
+# the searches run over blocks of the subsets of this many low vertices
 _BLOCK_BITS = 16
 
 
@@ -83,8 +85,8 @@ def _pair_planes(g: Graph, c: int) -> tuple[tuple[int, ...], tuple[tuple[int, in
     return out, tuple(groups.items())
 
 
-def _not_locating(groups: tuple[tuple[int, int], ...], h: int) -> int:
-    """Plane of the low parts x for which h << c | x is not locating."""
+def _misses(groups: tuple[tuple[int, int], ...], h: int) -> int:
+    """Plane of the low parts x for which h << c | x misses a set of the groups."""
     bad = 0
     for high, miss in groups:
         if not high & h:
@@ -104,39 +106,64 @@ def _at_complements(plane: int, c: int) -> int:
     return int.from_bytes(flipped, "big") >> (nbytes * 8 - size)
 
 
-@lru_cache(maxsize=1)
-def _size_planes(n: int) -> tuple[int, ...]:
+def _size_planes(n: int) -> list[int]:
     """planes[r] has bit x set iff |x| = r, over the 2^n subsets x of 0..n-1."""
-    planes = [1]
+    planes = [1] + [0] * n
     for w in range(n):
-        width = 1 << w
-        planes = [p | q << width for p, q in zip(planes + [0], [0] + planes)]
-    return tuple(planes)
+        for r in range(w + 1, 0, -1):
+            planes[r] |= planes[r - 1] << (1 << w)
+    return planes
+
+
+# bit x of plane r is also |x| = r in every narrower block
+_SIZE_PLANES = _size_planes(_BLOCK_BITS)
 
 
 def _min_good(g: Graph, dominating: bool, ceiling: int) -> OptimumWitness:
-    """Smallest x that is locating (and dominating), first in combinations order."""
+    """Smallest x that is locating (and dominating), first in combinations order.
+
+    The vertices from c = min(n, _BLOCK_BITS) up are fixed to each high
+    pattern h in turn, as in two_locating_partition, so no plane is wider
+    than 2^_BLOCK_BITS bits whatever the ceiling; a block whose high part
+    alone outgrows the best size so far is skipped.
+    """
     if g.n > ceiling:
         raise RefusedScale(f"oracle refused for n={g.n} > {ceiling}")
-    out, groups = _pair_planes(g, g.n)
-    bad = _not_locating(groups, 0)
+    c = min(g.n, _BLOCK_BITS)
+    out, pair_groups = _pair_planes(g, c)
+    full = (1 << (1 << c)) - 1
+    low_part = (1 << c) - 1
+    groups = dict(pair_groups)
     if dominating:
-        full = (1 << (1 << g.n)) - 1
         for v, row in enumerate(g.adj):  # x misses N[v]: v is not dominated
-            bad |= and_over(out, row | 1 << v, full)
-    for size, plane in enumerate(_size_planes(g.n)):
-        cand = plane & ~bad
-        if cand:
-            break
-    # combinations order among equal sizes: the set holding the smallest
-    # element where two sets differ comes first, so keep each w in turn
-    # whenever some remaining candidate holds it
-    for plane in out:
-        held = cand & ~plane
-        if held:
-            cand = held
+            m = row | 1 << v
+            groups[m >> c] = groups.get(m >> c, 0) | and_over(out, m & low_part, full)
+    items = tuple(groups.items())
+    best_size, best = g.n + 1, 0
+    for h in range(1 << (g.n - c)):
+        high_size = h.bit_count()
+        if high_size > best_size:
+            continue
+        good = full ^ _misses(items, h)
+        for low_size, plane in enumerate(_SIZE_PLANES[: best_size - high_size + 1]):
+            cand = good & plane
+            if cand:
+                break
+        else:
+            continue
+        # combinations order among equal sizes: the set holding the smallest
+        # element where two sets differ comes first, so keep each w in turn
+        # whenever some remaining candidate holds it
+        for plane in out:
+            held = cand & ~plane
+            if held:
+                cand = held
+        x = h << c | cand.bit_length() - 1
+        differ = x ^ best
+        if high_size + low_size < best_size or differ & -differ & x:
+            best_size, best = high_size + low_size, x
     kind = "locating_dominating" if dominating else "locating"
-    return OptimumWitness(size, cand.bit_length() - 1, kind)
+    return OptimumWitness(best_size, best, kind)
 
 
 def min_locating(g: Graph, ceiling: int = MIN_SET_CEILING) -> OptimumWitness:
@@ -169,8 +196,8 @@ def two_locating_partition(g: Graph, ceiling: int = PARTITION2_CEILING) -> Parti
     high_part = (1 << (g.n - c)) - 1
     for h in range(high_part + 1):
         # V - x is the complement of h above c and of x's low part below it
-        comp_bad = _at_complements(_not_locating(groups, high_part ^ h), c)
-        good = pinned & ~_not_locating(groups, h) & ~comp_bad
+        comp_bad = _at_complements(_misses(groups, high_part ^ h), c)
+        good = pinned & ~_misses(groups, h) & ~comp_bad
         if good:
             x = h << c | (good & -good).bit_length() - 1
             return PartitionWitness(x, g.full_set ^ x, True, tf)

@@ -74,10 +74,6 @@ def ref_min_witness(g, dominating=False):
     raise AssertionError("unreachable")
 
 
-def ref_min_size(g, dominating=False):
-    return len(ref_min_witness(g, dominating))
-
-
 def ref_first_bipartition(g):
     """X of the smallest odd bit pattern with X and V - X both locating, or None."""
     if g.n == 0:

@@ -93,12 +93,6 @@ class TestGraph6:
             assert enc.startswith("~")
             assert decode_graph6(enc) == g
 
-    def test_extended_order_malformed(self):
-        with pytest.raises(MalformedGraph6):
-            decode_graph6("~??")  # order cut short
-        with pytest.raises(MalformedGraph6):
-            decode_graph6("~~??????")  # eight-character order form
-
     def test_matches_networkx(self):
         nx = pytest.importorskip("networkx")
         for g in random_graphs(30, 1, 40, p=0.3, seed0=11) + [generate("gnp", 200, 0.3, seed=11)]:
@@ -118,6 +112,8 @@ class TestGraph6:
     def test_truncated(self):
         with pytest.raises(MalformedGraph6):
             decode_graph6("E")  # n=6 needs bits
+        with pytest.raises(MalformedGraph6):
+            decode_graph6("~??")  # extended order cut short
 
     def test_trailing_garbage(self):
         with pytest.raises(MalformedGraph6):
@@ -133,6 +129,8 @@ class TestGraph6:
         big = g.__class__(258048, (0,) * 258048)
         with pytest.raises(Unsupported):
             encode_graph6(big)
+        with pytest.raises(MalformedGraph6):
+            decode_graph6("~~??????")  # eight-character order form
 
 
 class TestEdgeList:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from locdom.bound import max_score_exact
@@ -10,6 +12,7 @@ from locdom.location import (
 )
 from locdom.solver import (
     PartitionWitness,
+    _pair_planes,
     _partitions_into_k,
     min_locating,
     min_locating_dominating,
@@ -18,7 +21,15 @@ from locdom.solver import (
 )
 
 from conftest import random_graphs
-from oracles import ref_first_bipartition, ref_min_size, ref_min_witness, to_set
+from oracles import ref_first_bipartition, ref_min_witness, to_set
+
+
+def _witness_family():
+    """All labeled graphs with n <= 5, gnp graphs up to n = 10, P_n and C_n for n <= 14."""
+    out = [g for n in range(6) for g in all_labeled_graphs(n)]
+    out += random_graphs(60, 1, 10, seed0=191)
+    out += [generate(kind, n) for kind in ("path", "cycle") for n in range(1, 15)]
+    return out
 
 
 class TestMinSets:
@@ -43,9 +54,12 @@ class TestMinSets:
             assert l.size <= ld.size <= l.size + 1
 
     def test_matches_reference(self):
-        for g in random_graphs(25, 1, 8, seed0=149):
-            assert min_locating(g).size == ref_min_size(g)
-            assert min_locating_dominating(g).size == ref_min_size(g, dominating=True)
+        for g in random_graphs(25, 1, 8, seed0=149) + _witness_family():
+            for oracle, dominating in ((min_locating, False), (min_locating_dominating, True)):
+                w = oracle(g)
+                ref = ref_min_witness(g, dominating)
+                assert w.size == len(ref)
+                assert to_set(w.witness) == ref
 
     def test_no_smaller_set(self):
         for g in random_graphs(10, 3, 6, seed0=151):
@@ -58,6 +72,23 @@ class TestMinSets:
         g = generate("path", 17)
         with pytest.raises(RefusedScale):
             min_locating(g)
+
+    def test_raised_ceiling_keeps_block_width(self):
+        # above 2^16 subsets the planes stay one block wide, in the call and
+        # in the memo after it; one plane over all 2^24 subsets is 2 MiB
+        g = generate("path", 24)
+        tracemalloc.start()
+        try:
+            w = min_locating_dominating(g, ceiling=24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (w.size, w.witness) == (10, 5412005)  # recorded from the combinations search
+        assert peak < 1 << 21
+        hits = _pair_planes.cache_info().hits
+        out, groups = _pair_planes(g, 16)
+        assert _pair_planes.cache_info().hits == hits + 1
+        assert max(p.bit_length() for p in out + tuple(m for _, m in groups)) <= 1 << 16
 
 
 class TestTwoLocatingPartition:
@@ -81,25 +112,12 @@ class TestTwoLocatingPartition:
             two_locating_partition(generate("path", 21))
 
 
-def _witness_family():
-    """All labeled graphs with n <= 5, gnp graphs up to n = 10, P_n and C_n for n <= 14."""
-    out = [g for n in range(6) for g in all_labeled_graphs(n)]
-    out += random_graphs(60, 1, 10, seed0=191)
-    out += [generate(kind, n) for kind in ("path", "cycle") for n in range(1, 15)]
-    return out
-
-
 class TestWitnessesPinned:
     # recorded from the per-subset searches these oracles replaced
     BIPARTITION_X = {
         ("path", 17): 21141, ("path", 18): 42281, ("path", 19): 84563, ("path", 20): 169125,
         ("cycle", 17): 10571, ("cycle", 18): 21141, ("cycle", 19): 42283, ("cycle", 20): 84563,
     }
-
-    def test_min_witnesses_match_reference(self):
-        for g in _witness_family():
-            assert to_set(min_locating(g).witness) == ref_min_witness(g)
-            assert to_set(min_locating_dominating(g).witness) == ref_min_witness(g, dominating=True)
 
     def test_first_bipartition_matches_reference(self):
         for g in _witness_family():
