@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 import click
@@ -264,7 +265,9 @@ def _corpus_record(args: tuple[int, str, dict]) -> dict:
     if record["twin_free"]:
         try:
             _twin_free_fields(g, opt, record)
-        except LocdomError as exc:  # one failing record must not end the sweep
+        except Exception as exc:  # one failing record, whatever the cause, must not end the sweep
+            if not isinstance(exc, LocdomError):
+                traceback.print_exc()  # a bug, not a rejected graph: show where it happened
             record["error"] = f"{type(exc).__name__}: {exc}"
     return record
 

@@ -19,13 +19,19 @@ minimum sets take the smallest size whose plane of r-subsets meets a
 block's good plane.  The pair planes of the last graph are memoized (a
 one-entry lru_cache keyed by the frozen Graph), so the oracles called in
 turn on one graph, as a corpus record does, build them once.
+
+s_k is a submask DP over location.score_table: level j holds, for every
+vertex set, the best summed score of its partitions into j blocks.  The
+levels of the last graph are memoized the same way, so asking for every k
+in turn builds them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from operator import add
+from typing import Iterable
 
 from .errors import InvalidParameter, RefusedScale
 from .graphs import Graph, is_twin_free
@@ -33,7 +39,7 @@ from .location import absent_planes, and_over, score_table
 
 MIN_SET_CEILING = 16
 PARTITION2_CEILING = 20
-SK_CEILING = 10
+SK_CEILING = 12
 
 # the searches run over blocks of the subsets of this many low vertices
 _BLOCK_BITS = 16
@@ -204,44 +210,112 @@ def two_locating_partition(g: Graph, ceiling: int = PARTITION2_CEILING) -> Parti
     return PartitionWitness(0, 0, False, tf)
 
 
-def _partitions_into_k(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of 0..n-1 into exactly k non-empty blocks.
+# the value of a k-partition that no set of blocks can reach; every sum
+# with one such term stays negative, since real values are at most n^2
+_UNREACHABLE = -(1 << 30)
 
-    Enumerated as restricted-growth strings in lexicographic order; blocks
-    are returned as bitmasks indexed by first occurrence.
+
+@lru_cache(maxsize=1)
+def _sk_levels(g: Graph) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
+    """score_table(g) and the levels f_0..f_n of the partition DP over it.
+
+    f_j[mask] is the largest summed score of a partition of mask into j
+    non-empty blocks, or _UNREACHABLE: f_1 = T on non-empty masks and
+    f_j[mask] = max of T[B] + f_{j-1}[mask - B] over the blocks B with
+    low(mask) in B, B a proper subset of mask.  Only the masks without
+    vertex 0 and V itself are filled: s_k = f_k[V], and every completion
+    the witness rebuild reads lies above vertex 0.  Tuples, as every caller
+    of the memo shares them.
     """
-    labels = [0] * n
+    table = score_table(g)
+    size = 1 << g.n
+    levels = [(0,) + (_UNREACHABLE,) * (size - 1), (_UNREACHABLE, *table[1:])]
+    # for each filled mask of two or more vertices, the remainders mask - B
+    # and the scores T[B]
+    splits = []
+    for mask in [*range(2, size, 2), size - 1]:
+        rest = mask ^ mask & -mask
+        subs = []
+        sub = rest
+        while sub:
+            subs.append(sub)
+            sub = sub - 1 & rest
+        if subs:
+            splits.append((mask, [table[mask ^ sub] for sub in subs], subs))
+    for _ in range(2, g.n + 1):
+        at = levels[-1].__getitem__
+        cur = [_UNREACHABLE] * size
+        for mask, scores, subs in splits:
+            cur[mask] = max(map(add, scores, map(at, subs)))
+        levels.append(tuple(cur))
+    return table, tuple(levels)
 
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            if used == k:
-                blocks = [0] * k
-                for v, lab in enumerate(labels):
-                    blocks[lab] |= 1 << v
-                yield tuple(blocks)
-            return
-        top = min(used + 1, k)
-        for lab in range(top):
-            new_used = max(used, lab + 1)
-            if new_used + (n - 1 - i) >= k:
-                labels[i] = lab
-                yield from rec(i + 1, new_used)
 
-    yield from rec(0, 0)
+def _extend(table: bytes, block: int, best: list[int], shift: int, xs: Iterable[int]) -> list[int]:
+    """For each x in xs, the max of table[block | e << shift] + best[x ^ e] over the subsets e of x."""
+    out = []
+    for x in xs:
+        top = _UNREACHABLE
+        e = x
+        while True:
+            value = table[block | e << shift] + best[x ^ e]
+            if value > top:
+                top = value
+            if not e:
+                break
+            e = e - 1 & x
+        out.append(top)
+    return out
+
+
+def _completion(
+    table: bytes, levels: tuple[tuple[int, ...], ...], blocks: list[int], k: int, i: int, n: int
+) -> int:
+    """Best value of a k-partition whose blocks meet 0..i in exactly blocks.
+
+    The vertices above i extend each block by a subset of them, and the rest
+    split into the k - len(blocks) missing blocks, read from the levels.
+    Subsets of the vertices above i are indexed by x, the set x << (i + 1).
+    """
+    shift = i + 1
+    count = 1 << (n - shift)
+    missing = levels[k - len(blocks)]
+    best = [missing[x << shift] for x in range(count)]
+    for block in blocks[:0:-1]:
+        best = _extend(table, block, best, shift, range(count))
+    return _extend(table, blocks[0], best, shift, (count - 1,))[0]
 
 
 def s_k_of_graph(g: Graph, k: int, ceiling: int = SK_CEILING) -> SkResult:
-    """Maximum of the summed separation score over all k-partitions of V."""
+    """Maximum of the summed separation score over all k-partitions of V.
+
+    A submask DP over score_table (_sk_levels, memoized for the last
+    graph).  The witness is the maximizing partition whose restricted-growth
+    string is lexicographically first: vertex by vertex, the smallest label
+    whose best completion still reaches the maximum.  Its blocks are
+    bitmasks indexed by first occurrence.
+    """
     if g.n > ceiling:
         raise RefusedScale(f"k-partition search refused for n={g.n} > {ceiling}")
     if not 1 <= k <= g.n:
         raise InvalidParameter(f"k={k} outside 1..{g.n}")
-    table = score_table(g)
-    best = -1
-    best_blocks: tuple[int, ...] = ()
-    for blocks in _partitions_into_k(g.n, k):
-        value = sum(table[blk] for blk in blocks)
-        if value > best:
-            best = value
-            best_blocks = blocks
-    return SkResult(k, best, best_blocks, is_twin_free(g))
+    table, levels = _sk_levels(g)
+    value = levels[k][g.full_set]
+    blocks = [1]
+    for i in range(1, g.n):
+        last = min(len(blocks), k - 1)
+        # the last label needs no check, as some label keeps the maximum; nor
+        # do the others when i and every vertex after it must open a block
+        tried = range(last) if k - len(blocks) < g.n - i else ()
+        for label in tried:
+            trial = blocks[:]
+            trial[label] |= 1 << i
+            if _completion(table, levels, trial, k, i, g.n) == value:
+                break
+        else:
+            label = last
+        if label < len(blocks):
+            blocks[label] |= 1 << i
+        else:
+            blocks.append(1 << i)
+    return SkResult(k, value, tuple(blocks), is_twin_free(g))

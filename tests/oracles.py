@@ -94,3 +94,39 @@ def ref_twins(g):
             kind = "closed" if v in nbr[u] else "open"
             out.append((u, v, kind))
     return out
+
+
+def ref_partitions(n, k):
+    """Partitions of range(n) into k non-empty blocks, as lists of sets.
+
+    Generated as restricted-growth strings (vertex v gets a label at most one
+    above the largest label before it) in lexicographic order; block b holds
+    the vertices labeled b.
+    """
+
+    def grow(labels, used):
+        if used + n - len(labels) < k:
+            return
+        if len(labels) == n:
+            yield [{v for v in range(n) if labels[v] == b} for b in range(k)]
+            return
+        for lab in range(min(used + 1, k)):
+            yield from grow(labels + [lab], max(used, lab + 1))
+
+    yield from grow([], 0)
+
+
+def ref_s_k(g, k):
+    """Largest summed ref_s over k-partitions, with the first partition reaching it."""
+    scores = {}
+    best, witness = -1, None
+    for blocks in ref_partitions(g.n, k):
+        value = 0
+        for b in blocks:
+            key = frozenset(b)
+            if key not in scores:
+                scores[key] = ref_s(g, b)
+            value += scores[key]
+        if value > best:
+            best, witness = value, blocks
+    return best, witness

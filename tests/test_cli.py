@@ -196,12 +196,14 @@ class TestCorpus:
         assert "error" in records[1]
         assert records[0]["graph_id"] == "Ch" and records[2]["graph_id"] == "Dhc"
 
-    def test_failing_record_isolated(self, runner, tmp_path, monkeypatch):
+    @staticmethod
+    def _sweep_failing_on_c5(runner, tmp_path, monkeypatch, exc):
+        """Sweep P4, C5, P4 at --jobs 1 with construct_ld raising exc on C5."""
         real = bound.construct_ld
 
         def fail_on_c5(g, **kwargs):
             if encode_graph6(g) == "Dhc":
-                raise VerificationFailed("planted failure")
+                raise exc
             return real(g, **kwargs)
 
         monkeypatch.setattr(bound, "construct_ld", fail_on_c5)
@@ -212,9 +214,23 @@ class TestCorpus:
         assert result.exit_code == EXIT_PARSE
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["index"] for r in records] == [0, 1, 2]
-        assert records[1]["error"] == "VerificationFailed: planted failure"
         assert records[0] == dict(records[2], index=0) and "error" not in records[2]
+        return result, records
+
+    def test_failing_record_isolated(self, runner, tmp_path, monkeypatch):
+        exc = VerificationFailed("planted failure")
+        result, records = self._sweep_failing_on_c5(runner, tmp_path, monkeypatch, exc)
+        assert records[1]["error"] == "VerificationFailed: planted failure"
         assert result.stderr.splitlines() == ["error: line 2: VerificationFailed: planted failure"]
+
+    def test_unexpected_error_isolated(self, runner, tmp_path, monkeypatch):
+        # an exception that is not a LocdomError is recorded the same way
+        exc = RuntimeError("planted bug")
+        result, records = self._sweep_failing_on_c5(runner, tmp_path, monkeypatch, exc)
+        assert records[1]["error"] == "RuntimeError: planted bug"
+        lines = result.stderr.splitlines()
+        assert lines[0] == "Traceback (most recent call last):"
+        assert lines[-2:] == ["RuntimeError: planted bug", "error: line 2: RuntimeError: planted bug"]
 
     def test_negative_order(self, runner):
         result = runner.invoke(main, ["corpus", "all:-1"])

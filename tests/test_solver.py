@@ -1,6 +1,7 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locdom.bound import max_score_exact
 from locdom.errors import InvalidParameter, RefusedScale
@@ -13,7 +14,6 @@ from locdom.location import (
 from locdom.solver import (
     PartitionWitness,
     _pair_planes,
-    _partitions_into_k,
     min_locating,
     min_locating_dominating,
     s_k_of_graph,
@@ -21,7 +21,7 @@ from locdom.solver import (
 )
 
 from conftest import random_graphs
-from oracles import ref_first_bipartition, ref_min_witness, to_set
+from oracles import ref_first_bipartition, ref_min_witness, ref_partitions, ref_s_k, to_set
 
 
 def _witness_family():
@@ -147,19 +147,21 @@ class TestWitnessesPinned:
 
 
 class TestPartitionEnumeration:
+    """The reference enumerator that ref_s_k, and so every s_k check, rests on."""
+
     def test_counts_are_stirling(self):
         # Stirling numbers of the second kind S(5, k)
         expected = {1: 1, 2: 15, 3: 25, 4: 10, 5: 1}
         for k, count in expected.items():
-            assert sum(1 for _ in _partitions_into_k(5, k)) == count
+            assert sum(1 for _ in ref_partitions(5, k)) == count
 
     def test_blocks_partition(self):
-        for blocks in _partitions_into_k(6, 3):
-            union = 0
+        for blocks in ref_partitions(6, 3):
+            union = set()
             for b in blocks:
                 assert b and not (union & b)
                 union |= b
-            assert union == (1 << 6) - 1
+            assert union == set(range(6))
 
 
 class TestSk:
@@ -193,11 +195,48 @@ class TestSk:
 
     def test_refused_scale(self):
         with pytest.raises(RefusedScale):
-            s_k_of_graph(generate("path", 11), 2)
+            s_k_of_graph(generate("path", 13), 2)
 
     def test_k1_value(self):
         for g in random_graphs(5, 2, 5, seed0=173):
             assert s_k_of_graph(g, 1).value == 0  # s(V) = 0
+
+    @pytest.mark.parametrize(
+        "kind,k,value,blocks",
+        [
+            ("cycle", 2, 12, (727, 3368)),
+            ("cycle", 3, 21, (165, 1290, 2640)),
+            ("path", 2, 12, (1387, 2708)),
+            ("path", 3, 19, (677, 1290, 2128)),
+        ],
+    )
+    def test_at_ceiling(self, kind, k, value, blocks):
+        # recorded from the partition enumeration that the DP replaced
+        res = s_k_of_graph(generate(kind, 12), k)
+        assert (res.value, res.witness_partition) == (value, blocks)
+
+    def test_matches_reference(self):
+        family = [g for n in range(6) for g in all_labeled_graphs(n)]
+        family += random_graphs(30, 6, 9, seed0=181)
+        for g in family:
+            for k in range(1, g.n + 1):
+                res = s_k_of_graph(g, k)
+                assert (res.value, [to_set(b) for b in res.witness_partition]) == ref_s_k(g, k)
+
+
+@st.composite
+def graphs_and_k(draw):
+    n = draw(st.integers(1, 8))
+    edges = [(u, v) for v in range(n) for u in range(v) if draw(st.booleans())]
+    return new_graph(n, edges), draw(st.integers(1, n))
+
+
+@settings(derandomize=True, deadline=None)
+@given(graphs_and_k())
+def test_s_k_property(case):
+    g, k = case
+    res = s_k_of_graph(g, k)
+    assert (res.value, [to_set(b) for b in res.witness_partition]) == ref_s_k(g, k)
 
 
 class TestMaxS2:
