@@ -29,6 +29,7 @@ from .graphs import (
     find_twins,
     generate,
     is_twin_free,
+    labeled_graph,
     members,
     new_graph,
     parse_edge_list,

@@ -16,7 +16,10 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from functools import partial
+from typing import Iterable, Iterator
 
 import click
 
@@ -249,17 +252,79 @@ def sk(input: str, k: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Corpus sweeps.
+# Corpus sweeps.  The unit of work is a chunk of consecutive records: a
+# worker builds each graph, computes its record and serializes it, and hands
+# back the JSON lines with their _Tally; the parent writes the lines in input
+# order and merges the tallies.
+
+# records per chunk at most: enough that handing a chunk over costs far less
+# than computing it, few enough that the last chunks still spread over the
+# workers
+_CHUNK_MAX = 256
+
+_SUMMARY_FIELDS = ("graphs", "twin_free", "max_ld", "bound_violations", "q1_not_found")
 
 
-def _corpus_record(args: tuple[int, str, dict]) -> dict:
-    index, line, opt = args
+class _Tally:
+    """What the CSV summary, the error lines and the exit code need of some records."""
+
+    def __init__(self) -> None:
+        self.per_n: dict[int, list[int]] = {}  # n -> the _SUMMARY_FIELDS
+        self.errors: list[tuple[int, str]] = []  # (index, message)
+        self.violations: list[str] = []  # graph6 of each bound violation
+
+    def add(self, record: dict) -> None:
+        if "error" in record:
+            self.errors.append((record["index"], record["error"]))
+            return
+        stats = self.per_n.setdefault(record["n"], [0] * len(_SUMMARY_FIELDS))
+        stats[0] += 1
+        if record["twin_free"]:
+            stats[1] += 1
+            ld = record.get("ld_exact", record.get("ld_upper"))
+            if ld is not None:
+                stats[2] = max(stats[2], ld)
+            if "bound_violation" in record:
+                stats[3] += 1
+                self.violations.append(record["graph_id"])
+            if record.get("q1_found") is False:
+                stats[4] += 1
+
+    def merge(self, other: "_Tally") -> None:
+        for n, theirs in other.per_n.items():
+            ours = self.per_n.setdefault(n, [0] * len(_SUMMARY_FIELDS))
+            ours[:] = [
+                max(a, b) if field == "max_ld" else a + b
+                for field, a, b in zip(_SUMMARY_FIELDS, ours, theirs)
+            ]
+        self.errors += other.errors
+        self.violations += other.violations
+
+
+def _corpus_chunk(task: tuple) -> tuple[str, _Tally]:
+    """The records of one chunk as JSON lines, and their tally.
+
+    task is (build, first, items, opt): item i of items is record first + i,
+    and build turns it into its graph (decode_graph6 for the lines of a
+    file, labeled_graph(n, .) for the pattern indices of all:N).
+    """
+    build, first, items, opt = task
+    lines = []
+    tally = _Tally()
+    for index, item in enumerate(items, first):
+        record = _corpus_record(build, index, item, opt)
+        tally.add(record)
+        lines.append(_dumps(record) + "\n")
+    return "".join(lines), tally
+
+
+def _corpus_record(build, index: int, item, opt: dict) -> dict:
     record: dict = {"index": index}
     try:
-        g = graphs.decode_graph6(line)
+        g = build(item)
     except LocdomError as exc:
         record["error"] = str(exc)
-        record["input"] = line
+        record["input"] = item
         return record
     record.update(_base_record(g))
     if record["twin_free"]:
@@ -289,6 +354,21 @@ def _twin_free_fields(g: graphs.Graph, opt: dict, record: dict) -> None:
         record["q1_found"] = solver.two_locating_partition(g).found
 
 
+def _in_order(pool: Executor, fn, tasks: Iterable, window: int) -> Iterator:
+    """fn over tasks on the pool, results in task order.
+
+    Tasks are pulled only as results are taken, so at most window of them
+    are pulled and not yet taken.
+    """
+    pending: deque[Future] = deque()
+    for task in tasks:
+        pending.append(pool.submit(fn, task))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 @main.command()
 @click.argument("source")
 @click.option("--jobs", type=int, default=1)
@@ -299,67 +379,48 @@ def _twin_free_fields(g: graphs.Graph, opt: dict, record: dict) -> None:
 def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
     """Sweep a corpus: SOURCE is a file of graph6 lines, '-' for stdin,
     or a generator spec 'all:N' for every labeled graph on N vertices."""
+    if jobs < 1:
+        raise InvalidParameter(f"--jobs must be at least 1, got {jobs}")
     if source.startswith("all:"):
         try:
             n = int(source.split(":", 1)[1])
         except ValueError:
             raise InvalidParameter(f"bad vertex count in {source!r}") from None
-        lines = [graphs.encode_graph6(g) for g in graphs.all_labeled_graphs(n)]
+        build, items = partial(graphs.labeled_graph, n), range(graphs.labeled_graph_count(n))
     else:
         text = _read_input(source)
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+        build = graphs.decode_graph6
+        items = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     opt = {
         "max_exact": max_exact if max_exact is not None else _default_max_exact(),
         "solve_ceiling": solve_ceiling,
         "q1": not no_q1,
     }
-    tasks = [(i, line, opt) for i, line in enumerate(lines)]
-    per_n: dict[int, dict] = {}
-    failed = 0
-    violations = []
+    # at least four chunks per worker, so a short corpus still spreads out
+    size = max(1, min(_CHUNK_MAX, len(items) // (4 * jobs)))
+    tasks = ((build, i, items[i : i + size], opt) for i in range(0, len(items), size))
+    tally = _Tally()
     with contextlib.ExitStack() as stack:
         sink = stack.enter_context(open(out, "w", encoding="ascii")) if out else sys.stdout
         if jobs > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            # at least four chunks per worker, so a short corpus still spreads out
-            chunksize = max(1, min(64, len(tasks) // (4 * jobs)))
-            records = pool.map(_corpus_record, tasks, chunksize=chunksize)
+            chunks = _in_order(pool, _corpus_chunk, tasks, 2 * jobs)
         else:
-            records = map(_corpus_record, tasks)
-        for record in records:
-            sink.write(_dumps(record) + "\n")
-            if "error" in record:
-                failed += 1
-                click.echo(f"error: line {record['index'] + 1}: {record['error']}", err=True)
-                continue
-            stats = per_n.setdefault(
-                record["n"],
-                {"graphs": 0, "twin_free": 0, "max_ld": 0, "bound_violations": 0, "q1_not_found": 0},
-            )
-            stats["graphs"] += 1
-            if record["twin_free"]:
-                stats["twin_free"] += 1
-                ld = record.get("ld_exact", record.get("ld_upper"))
-                if ld is not None:
-                    stats["max_ld"] = max(stats["max_ld"], ld)
-                if "bound_violation" in record:
-                    stats["bound_violations"] += 1
-                    violations.append(record["graph_id"])
-                if record.get("q1_found") is False:
-                    stats["q1_not_found"] += 1
+            chunks = map(_corpus_chunk, tasks)
+        for lines, part in chunks:
+            sink.write(lines)
+            for index, error in part.errors:
+                click.echo(f"error: line {index + 1}: {error}", err=True)
+            tally.merge(part)
     summary = sys.stdout if out else sys.stderr
-    summary.write("n,graphs,twin_free,max_ld,bound_violations,q1_not_found\n")
-    for n in sorted(per_n):
-        s = per_n[n]
-        summary.write(
-            f"{n},{s['graphs']},{s['twin_free']},{s['max_ld']},"
-            f"{s['bound_violations']},{s['q1_not_found']}\n"
-        )
-    for g6 in violations:
+    summary.write("n," + ",".join(_SUMMARY_FIELDS) + "\n")
+    for n in sorted(tally.per_n):
+        summary.write(",".join(map(str, [n, *tally.per_n[n]])) + "\n")
+    for g6 in tally.violations:
         click.echo(f"BOUND VIOLATION: {g6}", err=True)
-    if violations:
+    if tally.violations:
         sys.exit(EXIT_BOUND)
-    if failed:
+    if tally.errors:
         sys.exit(EXIT_PARSE)
 
 

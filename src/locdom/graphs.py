@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -266,25 +267,44 @@ def generate(kind: str, n: int, p: float | None = None, seed: int | None = None)
     return new_graph(n, pairs)
 
 
-def all_labeled_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
-    """All 2^(n(n-1)/2) labeled simple graphs on n vertices.
+def labeled_graph_count(n: int, allow_large: bool = False) -> int:
+    """2^(n(n-1)/2), the number of labeled simple graphs on n vertices.
 
-    Yielded in increasing order of the triangle bit pattern, where bit t of
-    the pattern is the t-th pair in the column-major order
-    (0,1),(0,2),(1,2),(0,3),...
+    Raises as all_labeled_graphs does: InvalidParameter for n < 0 and
+    RefusedScale above ENUM_MAX_ORDER unless allow_large.
     """
     if n < 0:
         raise InvalidParameter(f"negative vertex count {n}")
     if n > ENUM_MAX_ORDER and not allow_large:
         raise RefusedScale(f"full enumeration refused for n={n} > {ENUM_MAX_ORDER}")
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    for m in range(1 << len(pairs)):
-        adj = [0] * n
-        for t, (i, j) in enumerate(pairs):
-            if m >> t & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        yield Graph(n, tuple(adj))
+    return 1 << n * (n - 1) // 2
+
+
+def labeled_graph(n: int, m: int) -> Graph:
+    """The graph on n vertices whose triangle bit pattern is m.
+
+    Bit t of m is the t-th pair in the column-major order
+    (0,1),(0,2),(1,2),(0,3),..., so column j, the pairs (0,j)..(j-1,j),
+    is the slice of j bits from j(j-1)/2 and reads as N(j) below j.
+    """
+    adj = [0] * n
+    for j in range(1, n):
+        below = m >> (j * (j - 1) >> 1) & (1 << j) - 1
+        adj[j] = below
+        while below:
+            low = below & -below
+            adj[low.bit_length() - 1] |= 1 << j
+            below ^= low
+    return Graph(n, tuple(adj))
+
+
+def all_labeled_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
+    """All labeled simple graphs on n vertices, labeled_graph(n, m) for m = 0, 1, ...
+
+    The order checks of labeled_graph_count run at the call, not at the
+    first item.
+    """
+    return map(partial(labeled_graph, n), range(labeled_graph_count(n, allow_large)))
 
 
 # ---------------------------------------------------------------------------

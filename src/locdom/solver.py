@@ -21,13 +21,15 @@ one-entry lru_cache keyed by the frozen Graph), so the oracles called in
 turn on one graph, as a corpus record does, build them once.
 
 s_k is a submask DP over location.score_table: level j holds, for every
-vertex set, the best summed score of its partitions into j blocks.  The
-levels of the last graph are memoized the same way, so asking for every k
-in turn builds them once.
+vertex set, the best summed score of its partitions into j blocks.  A call
+for k builds levels up to k - 1 only, and the levels of the last graph are
+memoized the same way and extended on demand, so asking for every k in turn
+builds each once.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
@@ -215,40 +217,77 @@ def two_locating_partition(g: Graph, ceiling: int = PARTITION2_CEILING) -> Parti
 _UNREACHABLE = -(1 << 30)
 
 
-@lru_cache(maxsize=1)
-def _sk_levels(g: Graph) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
-    """score_table(g) and the levels f_0..f_n of the partition DP over it.
+class _SkLevels:
+    """score_table(g) and the levels f_0, f_1, ... of the partition DP over it.
 
     f_j[mask] is the largest summed score of a partition of mask into j
     non-empty blocks, or _UNREACHABLE: f_1 = T on non-empty masks and
     f_j[mask] = max of T[B] + f_{j-1}[mask - B] over the blocks B with
-    low(mask) in B, B a proper subset of mask.  Only the masks without
-    vertex 0 and V itself are filled: s_k = f_k[V], and every completion
-    the witness rebuild reads lies above vertex 0.  Tuples, as every caller
-    of the memo shares them.
+    low(mask) in B, B a proper subset of mask.  From level 2 on only the
+    masks without vertex 0 are filled, and only those with at least j
+    vertices: every completion the witness rebuild reads lies above vertex
+    0, and s_k = f_k[V] is read off level k - 1.  Levels are built on
+    demand, so one call for a small k builds few of them.  Tuples, as
+    every caller of the memo shares them.
     """
-    table = score_table(g)
-    size = 1 << g.n
-    levels = [(0,) + (_UNREACHABLE,) * (size - 1), (_UNREACHABLE, *table[1:])]
-    # for each filled mask of two or more vertices, the remainders mask - B
-    # and the scores T[B]
-    splits = []
-    for mask in [*range(2, size, 2), size - 1]:
-        rest = mask ^ mask & -mask
-        subs = []
-        sub = rest
-        while sub:
-            subs.append(sub)
-            sub = sub - 1 & rest
-        if subs:
-            splits.append((mask, [table[mask ^ sub] for sub in subs], subs))
-    for _ in range(2, g.n + 1):
-        at = levels[-1].__getitem__
-        cur = [_UNREACHABLE] * size
-        for mask, scores, subs in splits:
-            cur[mask] = max(map(add, scores, map(at, subs)))
-        levels.append(tuple(cur))
-    return table, tuple(levels)
+
+    def __init__(self, g: Graph):
+        self.table = score_table(g)
+        self.n = g.n
+        size = 1 << g.n
+        self.levels = [(0,) + (_UNREACHABLE,) * (size - 1), (_UNREACHABLE, *self.table[1:])]
+        self._lock = threading.Lock()
+        self._splits: list | None = None  # built for level 2, dropped after level n - 1
+
+    def upto(self, j: int) -> tuple[tuple[int, ...], ...]:
+        """The levels f_0..f_j, building the missing ones."""
+        size = 1 << self.n
+        with self._lock:  # callers in several threads share the memo
+            while len(self.levels) <= j:
+                if self._splits is None:
+                    self._splits = self._make_splits()
+                level = len(self.levels)
+                at = self.levels[-1].__getitem__
+                cur = [_UNREACHABLE] * size
+                for count, mask, scores, subs in self._splits:
+                    if count < level:
+                        break
+                    cur[mask] = max(map(add, scores, map(at, subs)))
+                self.levels.append(tuple(cur))
+            if len(self.levels) == self.n:
+                self._splits = None  # no k reads a level above n - 1
+            return tuple(self.levels[: j + 1])
+
+    def _make_splits(self) -> list:
+        """For each mask without vertex 0, of two or more vertices: its size,
+        the remainders mask - B and the scores T[B], largest masks first."""
+        splits = []
+        for mask in range(2, 1 << self.n, 2):
+            rest = mask ^ mask & -mask
+            subs = []
+            sub = rest
+            while sub:
+                subs.append(sub)
+                sub = sub - 1 & rest
+            if subs:
+                splits.append((mask.bit_count(), mask, [self.table[mask ^ sub] for sub in subs], subs))
+        splits.sort(key=lambda split: -split[0])
+        return splits
+
+    def top(self, k: int) -> int:
+        """s_k = f_k[V]: the block B of vertex 0 plus the best (k - 1)-partition of V - B."""
+        full = (1 << self.n) - 1
+        if k == 1:
+            return self.table[full]
+        below = self.upto(k - 1)[k - 1]
+        # V - B runs over the non-empty sets without vertex 0
+        return max(self.table[full ^ rest] + below[rest] for rest in range(2, full + 1, 2))
+
+
+@lru_cache(maxsize=1)
+def _sk_memo(g: Graph) -> _SkLevels:
+    """The DP levels of the last graph, shared by the calls for each k."""
+    return _SkLevels(g)
 
 
 def _extend(table: bytes, block: int, best: list[int], shift: int, xs: Iterable[int]) -> list[int]:
@@ -289,7 +328,7 @@ def _completion(
 def s_k_of_graph(g: Graph, k: int, ceiling: int = SK_CEILING) -> SkResult:
     """Maximum of the summed separation score over all k-partitions of V.
 
-    A submask DP over score_table (_sk_levels, memoized for the last
+    A submask DP over score_table (_SkLevels, memoized for the last
     graph).  The witness is the maximizing partition whose restricted-growth
     string is lexicographically first: vertex by vertex, the smallest label
     whose best completion still reaches the maximum.  Its blocks are
@@ -299,8 +338,9 @@ def s_k_of_graph(g: Graph, k: int, ceiling: int = SK_CEILING) -> SkResult:
         raise RefusedScale(f"k-partition search refused for n={g.n} > {ceiling}")
     if not 1 <= k <= g.n:
         raise InvalidParameter(f"k={k} outside 1..{g.n}")
-    table, levels = _sk_levels(g)
-    value = levels[k][g.full_set]
+    memo = _sk_memo(g)
+    table, levels = memo.table, memo.upto(k - 1)
+    value = memo.top(k)
     blocks = [1]
     for i in range(1, g.n):
         last = min(len(blocks), k - 1)

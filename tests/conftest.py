@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
@@ -44,3 +45,10 @@ def random_graphs(count, n_lo, n_hi, p=0.4, seed0=0):
             if len(out) == count:
                 break
     return out
+
+
+@st.composite
+def small_graphs(draw, min_n=0, max_n=8):
+    """Hypothesis strategy: a graph on min_n..max_n vertices, each edge drawn."""
+    n = draw(st.integers(min_n, max_n))
+    return new_graph(n, [(u, v) for v in range(n) for u in range(v) if draw(st.booleans())])

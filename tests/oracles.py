@@ -86,6 +86,16 @@ def ref_first_bipartition(g):
     return None
 
 
+def ref_labeled_edges(n):
+    """Edge lists of all labeled graphs on n vertices, pattern m = 0, 1, ...
+
+    Bit t of m selects the t-th pair in the order (0,1),(0,2),(1,2),(0,3),...
+    """
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for m in range(1 << len(pairs)):
+        yield [pair for t, pair in enumerate(pairs) if m >> t & 1]
+
+
 def ref_twins(g):
     nbr = neighborhoods(g)
     out = []

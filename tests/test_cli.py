@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from click.testing import CliRunner
 
 import locdom
 from locdom import bound
-from locdom.cli import EXIT_BOUND, EXIT_PARSE, EXIT_SCALE, EXIT_TWINS, main
+from locdom.cli import EXIT_BOUND, EXIT_PARSE, EXIT_SCALE, EXIT_TWINS, _in_order, main
 from locdom.errors import VerificationFailed
 from locdom.graphs import encode_graph6, generate
 
@@ -238,6 +239,13 @@ class TestCorpus:
         assert result.stdout == ""
         assert result.stderr.splitlines() == ["error: negative vertex count -1"]
 
+    def test_refused_order(self, runner):
+        # checked in the parent before any worker starts
+        result = runner.invoke(main, ["corpus", "all:8", "--jobs", "2"])
+        assert result.exit_code == EXIT_SCALE
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: full enumeration refused for n=8 > 7"]
+
     def test_solve_ceiling_reaches_oracles(self, runner, tmp_path):
         src = tmp_path / "p17.g6"
         src.write_text(encode_graph6(generate("path", 17)) + "\n")
@@ -256,3 +264,55 @@ class TestCorpus:
         r2 = runner.invoke(main, ["corpus", "all:4", "--jobs", "4", "--out", str(out2)])
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one(self, runner, jobs):
+        result = runner.invoke(main, ["corpus", "all:3", "--jobs", jobs])
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: --jobs must be at least 1, got {jobs}"]
+
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_generated_equals_file(self, runner, tmp_path, jobs):
+        src = tmp_path / "all5.g6"
+        src.write_text(runner.invoke(main, ["gen", "all", "5"]).stdout)
+        outs = []
+        for source in ("all:5", str(src)):
+            out = tmp_path / f"{len(outs)}.jsonl"
+            result = runner.invoke(main, ["corpus", source, "--jobs", jobs, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert outs[0].count(b"\n") == 1024
+
+    def test_malformed_line_in_pool(self, runner, tmp_path):
+        # 40 records make chunks of 5 at --jobs 2; line 23 sits inside one
+        lines = [encode_graph6(generate("path", 4 + i % 3)) for i in range(40)]
+        lines[22] = "C\x01bad"
+        src = tmp_path / "mixed.g6"
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "reports.jsonl"
+        result = runner.invoke(main, ["corpus", str(src), "--jobs", "2", "--out", str(out)])
+        assert result.exit_code == EXIT_PARSE
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["index"] for r in records] == list(range(40))
+        assert set(records[22]) == {"index", "error", "input"} and records[22]["input"] == "C\x01bad"
+        assert all("error" not in r for i, r in enumerate(records) if i != 22)
+        assert result.stderr.splitlines() == [f"error: line 23: {records[22]['error']}"]
+        assert result.stdout.splitlines()[-1] == "6,13,13,3,0,0"
+
+    def test_window_bounds_pulled_tasks(self):
+        pulled = 0
+
+        def source():
+            nonlocal pulled
+            for i in range(50):
+                pulled += 1
+                yield i
+
+        window = 4
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for taken, result in enumerate(_in_order(pool, lambda x: x * x, source(), window)):
+                assert result == taken * taken
+                assert pulled - taken <= window
+        assert pulled == 50

@@ -17,6 +17,7 @@ from locdom.graphs import (
     find_twins,
     generate,
     is_twin_free,
+    labeled_graph,
     members,
     new_graph,
     parse_edge_list,
@@ -24,7 +25,7 @@ from locdom.graphs import (
 )
 
 from conftest import random_graphs
-from oracles import ref_twins, to_set
+from oracles import ref_labeled_edges, ref_twins, to_set
 
 
 class TestNewGraph:
@@ -218,6 +219,11 @@ class TestEnumeration:
     def test_override(self):
         it = all_labeled_graphs(8, allow_large=True)
         assert next(it).n == 8
+
+    def test_labeled_graph_matches_reference(self):
+        for n in range(7):
+            for m, edges in enumerate(ref_labeled_edges(n)):
+                assert labeled_graph(n, m) == new_graph(n, edges)
 
 
 class TestTwins:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from locdom.errors import DomainViolation, PreconditionViolated
 from locdom.graphs import new_graph, set_of
@@ -15,7 +16,7 @@ from locdom.location import (
     x_partition,
 )
 
-from conftest import random_graphs
+from conftest import random_graphs, small_graphs
 from oracles import ref_is_dominating, ref_is_locating, ref_partition, ref_s, to_mask, to_set
 
 
@@ -198,3 +199,9 @@ class TestRepresentatives:
                 chosen = representatives(part)
                 for c in part.classes:
                     assert (chosen & c).bit_count() == 1
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_graphs())
+def test_score_table_property(g):
+    assert list(score_table(g)) == [ref_s(g, to_set(a)) for a in range(1 << g.n)]

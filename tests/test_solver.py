@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,13 +16,14 @@ from locdom.location import (
 from locdom.solver import (
     PartitionWitness,
     _pair_planes,
+    _sk_memo,
     min_locating,
     min_locating_dominating,
     s_k_of_graph,
     two_locating_partition,
 )
 
-from conftest import random_graphs
+from conftest import random_graphs, small_graphs
 from oracles import ref_first_bipartition, ref_min_witness, ref_partitions, ref_s_k, to_set
 
 
@@ -215,6 +218,29 @@ class TestSk:
         res = s_k_of_graph(generate(kind, 12), k)
         assert (res.value, res.witness_partition) == (value, blocks)
 
+    def test_small_k_builds_few_levels(self):
+        # s_2 reads level 1 only: f_0 and f_1 exist, and at most f_2 besides
+        g = generate("gnp", 12, 0.3, 5)
+        _sk_memo.cache_clear()
+        res = s_k_of_graph(g, 2)
+        assert len(_sk_memo(g).levels) <= 3
+        assert res.value == max_score_exact(g)[0]
+
+    def test_levels_shared_across_threads(self):
+        # threads extending one graph's memo at once must not lose or repeat a level
+        g = generate("gnp", 9, 0.4, 11)
+        ks = [9, 4, 8, 2, 7, 5, 9, 6, 3, 8, 1, 5]
+        expected = [s_k_of_graph(g, k) for k in ks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                _sk_memo.cache_clear()
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    assert list(pool.map(lambda k: s_k_of_graph(g, k), ks, timeout=60)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_matches_reference(self):
         family = [g for n in range(6) for g in all_labeled_graphs(n)]
         family += random_graphs(30, 6, 9, seed0=181)
@@ -226,9 +252,8 @@ class TestSk:
 
 @st.composite
 def graphs_and_k(draw):
-    n = draw(st.integers(1, 8))
-    edges = [(u, v) for v in range(n) for u in range(v) if draw(st.booleans())]
-    return new_graph(n, edges), draw(st.integers(1, n))
+    g = draw(small_graphs(min_n=1))
+    return g, draw(st.integers(1, g.n))
 
 
 @settings(derandomize=True, deadline=None)
@@ -253,3 +278,22 @@ class TestMaxS2:
                 continue
             r = construct_locating(g)
             assert min_locating(g).size <= r.witness_size
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_graphs())
+def test_min_sets_property(g):
+    for oracle, dominating in ((min_locating, False), (min_locating_dominating, True)):
+        assert to_set(oracle(g).witness) == ref_min_witness(g, dominating)
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_graphs())
+def test_two_locating_partition_property(g):
+    w = two_locating_partition(g)
+    ref = ref_first_bipartition(g)
+    assert (w.found, to_set(w.x), w.y) == (
+        ref is not None,
+        ref or set(),
+        g.full_set ^ w.x if ref is not None else 0,
+    )
