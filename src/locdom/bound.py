@@ -182,7 +182,7 @@ def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int
     """Exhaustive maximum S of the score sum, plus a k-maximal good set.
 
     One table T of separation scores over all 2^n subsets (score_table,
-    built with whole-table bit-plane operations) gives the score sums
+    built block by block with bit-plane operations) gives the score sums
     T[a] + T[V \\ a] as one integer addition: reading T's bytes in reverse
     order is T at the complements.  S is the largest value present, found
     from n downward since s(a) <= |V \\ a| and s(V \\ a) <= |a|.  The good

@@ -347,6 +347,9 @@ def _twin_free_fields(g: graphs.Graph, opt: dict, record: dict) -> None:
     if g.n <= opt["solve_ceiling"]:
         l_opt = solver.min_locating(g, ceiling=opt["solve_ceiling"])
         ld_opt = solver.min_locating_dominating(g, ceiling=opt["solve_ceiling"])
+        # the oracles share their planes with the bound's score table, so the
+        # set-based check is what keeps them from vouching for each other
+        _reverify(g, l_opt.witness, ld_opt.witness)
         record["l_exact"] = l_opt.size
         record["ld_exact"] = ld_opt.size
         record["conjecture_half"] = 2 * ld_opt.size <= g.n + (g.n & 1)
@@ -387,10 +390,13 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
         except ValueError:
             raise InvalidParameter(f"bad vertex count in {source!r}") from None
         build, items = partial(graphs.labeled_graph, n), range(graphs.labeled_graph_count(n))
+        line_numbers = range(1, len(items) + 1)
     else:
         text = _read_input(source)
         build = graphs.decode_graph6
-        items = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+        stripped = [line.strip() for line in text.splitlines()]
+        line_numbers = [i for i, line in enumerate(stripped, 1) if line and not line.startswith("#")]
+        items = [stripped[i - 1] for i in line_numbers]
     opt = {
         "max_exact": max_exact if max_exact is not None else _default_max_exact(),
         "solve_ceiling": solve_ceiling,
@@ -410,7 +416,7 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
         for lines, part in chunks:
             sink.write(lines)
             for index, error in part.errors:
-                click.echo(f"error: line {index + 1}: {error}", err=True)
+                click.echo(f"error: line {line_numbers[index]}: {error}", err=True)
             tally.merge(part)
     summary = sys.stdout if out else sys.stderr
     summary.write("n," + ",".join(_SUMMARY_FIELDS) + "\n")

@@ -4,12 +4,14 @@ The trace of a vertex v with respect to a set X is N(v) & X.  Partitioning a
 set Y (disjoint from X) by equal trace yields the X-partition of Y; a set X
 is locating when that partition of the complement of X has only singleton
 classes, and dominating when every outside vertex has a non-empty trace.
+The same predicates over all subsets at once are bit planes (miss_planes),
+which score_table and the solver's oracles share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
 
 from .errors import DomainViolation, PreconditionViolated
 from .graphs import Graph, members
@@ -60,78 +62,164 @@ def separation_score(g: Graph, a: int) -> int:
     return len({row & a for v, row in enumerate(g.adj) if not a >> v & 1})
 
 
-def absent_planes(n: int) -> list[int]:
-    """The planes "w not in a" for w < n, over the 2^n subsets a of 0..n-1.
+# the subset planes are built one block of the subsets of this many low
+# vertices at a time, so no plane is wider than 2^BLOCK_BITS bits
+BLOCK_BITS = 16
 
-    A plane is one 2^n-bit int whose bit a is the predicate's value at the
-    subset with bit pattern a.  From bit 0 up, plane w alternates runs of
-    2^w ones and 2^w zeros; it is built by doubling the first run.
+
+@lru_cache(maxsize=1)
+def _nibble_tables(c: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Entry j of table i is the plane "x misses j << 4i" over the 2^c subsets x of 0..c-1.
+
+    A plane is one 2^c-bit int whose bit x is the predicate's value at the
+    subset with bit pattern x.  From bit 0 up, "w not in x" alternates runs
+    of 2^w ones and 2^w zeros, built by doubling the first run; each table
+    doubles in length with each of its vertices.  There is one table even
+    when c = 0, so a lookup never finds none.  Returns the tables and their
+    single-vertex entries, the planes "w not in x" for w < c.
     """
-    size = 1 << n
-    out = []
-    for w in range(n):
-        width = 1 << w
-        plane = (1 << width) - 1
-        width <<= 1
-        while width < size:
-            plane |= plane << width
+    size = 1 << c
+    full = (1 << size) - 1
+    tables = []
+    for first in range(0, max(c, 1), 4):
+        table = [full]
+        for w in range(first, min(first + 4, c)):
+            width = 1 << w
+            absent = (1 << width) - 1
             width <<= 1
-        out.append(plane)
-    return out
+            while width < size:
+                absent |= absent << width
+                width <<= 1
+            table += [plane & absent for plane in table]
+        tables.append(tuple(table))
+    return tuple(tables), tuple(tables[w >> 2][1 << (w & 3)] for w in range(c))
 
 
-def and_over(planes: Sequence[int], s: int, acc: int) -> int:
-    """acc ANDed with planes[w] for every member w of s."""
-    while s:
-        low = s & -s
-        acc &= planes[low.bit_length() - 1]
-        s ^= low
-    return acc
+def _miss(tables: tuple[tuple[int, ...], ...], m: int) -> int:
+    """The plane "x misses m" for m below 2^c: one lookup per nibble of m."""
+    plane = tables[0][m & 15]
+    for table in tables[1:]:
+        m >>= 4
+        plane &= table[m & 15]
+    return plane
+
+
+@dataclass(frozen=True)
+class MissPlanes:
+    """Planes over the subsets x of the c = min(n, BLOCK_BITS) lowest vertices.
+
+    Two vertices u < v are both outside a set a with equal traces iff a
+    misses M_uv = (N(u) xor N(v)) | {u, v}, and v is outside a and not
+    dominated by it iff a misses N[v].  With the vertices from c up fixed to
+    a pattern h, a = h << c | x misses a set M iff the high part H = M >> c
+    misses h and x misses the low part of M.  So each grouping below is a
+    tuple of pairs (H, plane), the plane being the OR of "x misses the low
+    part of M" over its sets M with that high part: per_vertex[v] over the
+    M_uv with u < v; located over all M_uv, so its planes at h (block_misses)
+    mark the x for which h << c | x is not locating; dominated over the M_uv
+    and every N[v], so they mark where it is not locating-dominating.
+    absent[w] is "w not in x".  Tuples, as every caller of the memo shares
+    them.
+    """
+
+    c: int
+    absent: tuple[int, ...]
+    per_vertex: tuple[tuple[tuple[int, int], ...], ...]
+    located: tuple[tuple[int, int], ...]
+    dominated: tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=1)
+def miss_planes(g: Graph) -> MissPlanes:
+    """The MissPlanes of g, memoized for the last graph (a one-entry lru_cache
+    keyed by the frozen Graph): score_table and the solver's oracles, called
+    in turn on one graph as a corpus record does, build them once."""
+    c = min(g.n, BLOCK_BITS)
+    tables, absent = _nibble_tables(c)
+    first, rest = tables[0], tables[1:]
+    low_part = (1 << c) - 1
+    adj = g.adj
+    per_vertex = []
+    located: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        groups: dict[int, int] = {}
+        for u in range(v):
+            m = adj[u] ^ row | 1 << u | 1 << v
+            high = m >> c
+            m &= low_part
+            plane = first[m & 15]  # _miss, inlined: this loop runs once per pair
+            for table in rest:
+                m >>= 4
+                plane &= table[m & 15]
+            groups[high] = groups.get(high, 0) | plane
+        for high, plane in groups.items():
+            located[high] = located.get(high, 0) | plane
+        per_vertex.append(tuple(groups.items()))
+    dominated = dict(located)
+    for v, row in enumerate(adj):
+        m = row | 1 << v
+        dominated[m >> c] = dominated.get(m >> c, 0) | _miss(tables, m & low_part)
+    return MissPlanes(c, absent, tuple(per_vertex), tuple(located.items()), tuple(dominated.items()))
+
+
+def block_misses(groups: tuple[tuple[int, int], ...], h: int) -> int:
+    """The OR of the planes of groups whose high part misses h: the x for
+    which h << c | x misses a set of the groups."""
+    bad = 0
+    for high, plane in groups:
+        if not high & h:
+            bad |= plane
+    return bad
 
 
 # binary digits to byte values 0 and 2^j, one table per counter plane j
 _DIGIT_TO_BYTE = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 
 
-def score_table(g: Graph) -> bytes:
+def score_table(g: Graph) -> bytearray:
     """separation_score of every subset, indexed by its bit pattern.
 
-    Bit-sliced: a predicate over all subsets is one 2^n-bit int whose bit a
-    is its value at subset a, so each step below is one whole-table integer
-    operation.  out[w] is "w not in a" (absent_planes).
-    Outside a, u < v share a trace iff a misses N(u) xor N(v), so dup_v, the
-    OR over u < v of out[u] ANDed with out[w] for every other w in that
-    difference (v itself is left to out[v]), marks the subsets where an
-    earlier vertex outside a has v's trace.  first_v = out[v] & ~dup_v then marks where v is the
-    first of its trace class, and T[a] = sum over v of first_v(a).  The sum
-    runs in bit-sliced counters, each counter plane is spread to one byte
-    per subset through its binary digits, and the byte planes are ORed
-    together.  About n^3/4 whole-table operations in all.
+    Bit-sliced over blocks: the vertices from c up (miss_planes) are fixed
+    to each pattern h in turn, and the 2^c subsets a = h << c | x below are
+    scored at once, each step one whole-block integer operation.  Outside
+    a, v has the trace of some earlier vertex u iff a misses M_uv, so the
+    OR of v's per-vertex planes whose high part misses h marks where v is
+    not the first of its trace class; first_v is "v not in a" without
+    those, and T[a] = sum over v of first_v(a).  The sum runs in bit-sliced
+    counters, each counter plane is spread to one byte per subset through
+    its binary digits, and the byte planes of a block are ORed together
+    into its slice of the preallocated table.
     """
     n = g.n
-    size = 1 << n
-    adj = g.adj
-    out = absent_planes(n)
-    counters: list[int] = []  # counters[j] holds bit j of the running T
-    for v, row in enumerate(adj):
-        dup = 0
-        for u in range(v):
-            dup |= and_over(out, (adj[u] ^ row) & ~(1 << u | 1 << v), out[u])
-        carry = out[v] & ~dup
-        for j, c in enumerate(counters):
-            counters[j] = c ^ carry
-            carry &= c
-            if not carry:
-                break
-        if carry:
-            counters.append(carry)
-    del out  # the n planes are not needed for the byte stage
+    planes = miss_planes(g)
+    c = planes.c
+    size = 1 << c
+    full = (1 << size) - 1
     digits = f"0{size}b"
-    total = 0
-    for j, c in enumerate(counters):
-        # format puts bit size-1 first, so big-endian bytes put bit a at byte a
-        total |= int.from_bytes(format(c, digits).encode().translate(_DIGIT_TO_BYTE[j]), "big")
-    return total.to_bytes(size, "little")
+    table = bytearray(1 << n)
+    for h in range(1 << (n - c)):
+        counters: list[int] = []  # counters[j] holds bit j of the running T
+        for v, groups in enumerate(planes.per_vertex):
+            if v < c:
+                carry = planes.absent[v]
+            elif h >> (v - c) & 1:
+                continue  # v is in every a of this block
+            else:
+                carry = full
+            carry &= ~block_misses(groups, h)
+            for j, count in enumerate(counters):
+                counters[j] = count ^ carry
+                carry &= count
+                if not carry:
+                    break
+            if carry:
+                counters.append(carry)
+        total = 0
+        for j, count in enumerate(counters):
+            # format puts bit size-1 first, so big-endian bytes put bit x at byte x
+            total |= int.from_bytes(format(count, digits).encode().translate(_DIGIT_TO_BYTE[j]), "big")
+        table[h << c : (h + 1) << c] = total.to_bytes(size, "little")
+    return table
 
 
 def distinguishes(g: Graph, x: int, v: int, v2: int) -> bool:

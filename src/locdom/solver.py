@@ -1,30 +1,29 @@
 """Brute-force oracles and exhaustive search tools.
 
-Everything here is exhaustive search, independent of the constructive
-pipeline, so the two can check each other: minimum locating and
+Everything here is exhaustive search: minimum locating and
 locating-dominating sets by increasing cardinality, the two-locating-sets
 bipartition search, and the maximum summed separation score over
-k-partitions.
+k-partitions.  The first three read the same subset planes as the bound's
+location.score_table (location.miss_planes), so they do not check that
+kernel; what checks both is the CLI's set-based re-verification of every
+locating and locating-dominating witness (is_locating,
+is_locating_dominating) and the references in the tests.
 
-The first three test every subset at once on bit planes, as
-location.score_table does: a predicate over the subsets x of the c lowest
-vertices is one 2^c-bit int whose bit x is its value at x.  Two vertices
-u < v are both outside x with equal traces iff x misses
-M_uv = (N(u) xor N(v)) | {u, v}, so "x is not locating" is the OR over the
-pairs of the AND over M_uv of "w not in x"; "V \\ x is not locating" is the
-same plane read at complements.  With c = min(n, 16), all three fix the
-vertices from c up to each high pattern in turn and test the 2^c subsets
-below as one block, so a raised ceiling costs time, not memory.  The
+The planes: a predicate over the subsets x of the c = min(n, 16) lowest
+vertices is one 2^c-bit int whose bit x is its value at x.  All three fix
+the vertices from c up to each high pattern h in turn and test the 2^c
+subsets below as one block, so a raised ceiling costs time, not memory:
+"h << c | x is not locating" (or not locating-dominating) is
+location.block_misses of miss_planes' located (or dominated) planes at h,
+and "V \\ x is not locating" is the same plane read at complements.  The
 minimum sets take the smallest size whose plane of r-subsets meets a
-block's good plane.  The pair planes of the last graph are memoized (a
-one-entry lru_cache keyed by the frozen Graph), so the oracles called in
-turn on one graph, as a corpus record does, build them once.
+block's good plane.
 
 s_k is a submask DP over location.score_table: level j holds, for every
 vertex set, the best summed score of its partitions into j blocks.  A call
 for k builds levels up to k - 1 only, and the levels of the last graph are
-memoized the same way and extended on demand, so asking for every k in turn
-builds each once.
+memoized (a one-entry lru_cache keyed by the frozen Graph) and extended on
+demand, so asking for every k in turn builds each once.
 """
 
 from __future__ import annotations
@@ -37,14 +36,11 @@ from typing import Iterable
 
 from .errors import InvalidParameter, RefusedScale
 from .graphs import Graph, is_twin_free
-from .location import absent_planes, and_over, score_table
+from .location import BLOCK_BITS, block_misses, miss_planes, score_table
 
 MIN_SET_CEILING = 16
 PARTITION2_CEILING = 20
 SK_CEILING = 12
-
-# the searches run over blocks of the subsets of this many low vertices
-_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -70,38 +66,6 @@ class SkResult:
     twin_free: bool
 
 
-@lru_cache(maxsize=1)
-def _pair_planes(g: Graph, c: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Bit planes over the subsets x of the vertices below c.
-
-    Returns the planes "w not in x" (absent_planes) and, for each high part
-    H = M_uv >> c of some pair u < v, the pair (H, plane) whose plane is the
-    OR over the pairs with that high part of "x misses the low part of
-    M_uv".  With the vertices from c up fixed to a pattern h, x misses M_uv
-    iff H misses h and that plane holds.  Tuples, as every caller of the
-    memo shares them.
-    """
-    out = tuple(absent_planes(c))
-    full = (1 << (1 << c)) - 1
-    low_part = (1 << c) - 1
-    adj = g.adj
-    groups: dict[int, int] = {}
-    for v, row in enumerate(adj):
-        for u in range(v):
-            m = adj[u] ^ row | 1 << u | 1 << v
-            groups[m >> c] = groups.get(m >> c, 0) | and_over(out, m & low_part, full)
-    return out, tuple(groups.items())
-
-
-def _misses(groups: tuple[tuple[int, int], ...], h: int) -> int:
-    """Plane of the low parts x for which h << c | x misses a set of the groups."""
-    bad = 0
-    for high, miss in groups:
-        if not high & h:
-            bad |= miss
-    return bad
-
-
 # bit j of byte b moved to bit 7 - j
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
@@ -124,35 +88,29 @@ def _size_planes(n: int) -> list[int]:
 
 
 # bit x of plane r is also |x| = r in every narrower block
-_SIZE_PLANES = _size_planes(_BLOCK_BITS)
+_SIZE_PLANES = _size_planes(BLOCK_BITS)
 
 
 def _min_good(g: Graph, dominating: bool, ceiling: int) -> OptimumWitness:
     """Smallest x that is locating (and dominating), first in combinations order.
 
-    The vertices from c = min(n, _BLOCK_BITS) up are fixed to each high
+    The vertices from c = min(n, BLOCK_BITS) up are fixed to each high
     pattern h in turn, as in two_locating_partition, so no plane is wider
-    than 2^_BLOCK_BITS bits whatever the ceiling; a block whose high part
+    than 2^BLOCK_BITS bits whatever the ceiling; a block whose high part
     alone outgrows the best size so far is skipped.
     """
     if g.n > ceiling:
         raise RefusedScale(f"oracle refused for n={g.n} > {ceiling}")
-    c = min(g.n, _BLOCK_BITS)
-    out, pair_groups = _pair_planes(g, c)
+    planes = miss_planes(g)
+    c = planes.c
     full = (1 << (1 << c)) - 1
-    low_part = (1 << c) - 1
-    groups = dict(pair_groups)
-    if dominating:
-        for v, row in enumerate(g.adj):  # x misses N[v]: v is not dominated
-            m = row | 1 << v
-            groups[m >> c] = groups.get(m >> c, 0) | and_over(out, m & low_part, full)
-    items = tuple(groups.items())
+    groups = planes.dominated if dominating else planes.located
     best_size, best = g.n + 1, 0
     for h in range(1 << (g.n - c)):
         high_size = h.bit_count()
         if high_size > best_size:
             continue
-        good = full ^ _misses(items, h)
+        good = full ^ block_misses(groups, h)
         for low_size, plane in enumerate(_SIZE_PLANES[: best_size - high_size + 1]):
             cand = good & plane
             if cand:
@@ -162,7 +120,7 @@ def _min_good(g: Graph, dominating: bool, ceiling: int) -> OptimumWitness:
         # combinations order among equal sizes: the set holding the smallest
         # element where two sets differ comes first, so keep each w in turn
         # whenever some remaining candidate holds it
-        for plane in out:
+        for plane in planes.absent:
             held = cand & ~plane
             if held:
                 cand = held
@@ -190,22 +148,22 @@ def two_locating_partition(g: Graph, ceiling: int = PARTITION2_CEILING) -> Parti
     Vertex 0 is pinned to X to halve the space; the first witness in
     increasing order of X's bit pattern is returned.  Twins are permitted;
     the result carries a twin_free flag instead.  The vertices from
-    _BLOCK_BITS up are fixed to each high pattern h in turn, and the block
-    of 2^_BLOCK_BITS choices below them is tested as one plane.
+    BLOCK_BITS up are fixed to each high pattern h in turn, and the block
+    of 2^BLOCK_BITS choices below them is tested as one plane.
     """
     if g.n > ceiling:
         raise RefusedScale(f"bipartition search refused for n={g.n} > {ceiling}")
     tf = is_twin_free(g)
     if g.n == 0:
         return PartitionWitness(0, 0, True, tf)
-    c = min(g.n, _BLOCK_BITS)
-    out, groups = _pair_planes(g, c)
-    pinned = ((1 << (1 << c)) - 1) ^ out[0]
+    planes = miss_planes(g)
+    c, groups = planes.c, planes.located
+    pinned = ((1 << (1 << c)) - 1) ^ planes.absent[0]
     high_part = (1 << (g.n - c)) - 1
     for h in range(high_part + 1):
         # V - x is the complement of h above c and of x's low part below it
-        comp_bad = _at_complements(_misses(groups, high_part ^ h), c)
-        good = pinned & ~_misses(groups, h) & ~comp_bad
+        comp_bad = _at_complements(block_misses(groups, high_part ^ h), c)
+        good = pinned & ~block_misses(groups, h) & ~comp_bad
         if good:
             x = h << c | (good & -good).bit_length() - 1
             return PartitionWitness(x, g.full_set ^ x, True, tf)

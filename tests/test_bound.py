@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from locdom.bound import (
@@ -21,8 +23,8 @@ from locdom.errors import (
     RefusedScale,
     TwinsPresent,
 )
-from locdom.graphs import all_labeled_graphs, decode_graph6, is_twin_free, set_of
-from locdom.location import is_locating, is_locating_dominating, x_partition
+from locdom.graphs import all_labeled_graphs, decode_graph6, generate, is_twin_free, set_of
+from locdom.location import is_locating, is_locating_dominating, score_table, x_partition
 
 from conftest import random_graphs
 from oracles import ref_max_score, ref_score_sum, to_set
@@ -145,6 +147,22 @@ class TestMaxScoreExact:
             scored = score_sum(g, best)
             assert scored.sum == s
             assert scored.s_comp == best.bit_count()
+
+    # above 2^16 subsets score_table fills one block of 2^16 at a time: C17
+    # has 2 blocks, gnp n = 20 has 16; recorded from the one-block table
+    BLOCKED = {
+        ("cycle", 17): ("4da764bed90386070dc63fbd6c94632cdbd5aa1dc93114b14e2c37a95f67948c", (17, 10571)),
+        ("path", 19): ("e89e2c92324d02ae18f861df59820678dc80fb0a61ede311c579e35c69216388", (19, 84563)),
+        ("gnp", 18): ("938c61a09c00e2ada91e335c396ca71a658dd89ad60d765b12a9376ac7c5072c", (18, 95)),
+        ("gnp", 20): ("48480c091c75e5cb422c777b16a0d974581231c2467e083845af4af7917ff21e", (20, 415)),
+    }
+
+    @pytest.mark.parametrize("kind,n", sorted(BLOCKED))
+    def test_blocked_table_pinned(self, kind, n):
+        g = generate(kind, n, 0.3, 1) if kind == "gnp" else generate(kind, n)
+        digest, best = self.BLOCKED[kind, n]
+        assert hashlib.sha256(score_table(g)).hexdigest() == digest
+        assert max_score_exact(g) == best
 
     def test_good_set_is_best_normalized_maximizer(self):
         # reference: normalize every maximizer, then keep the largest k and,

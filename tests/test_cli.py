@@ -9,8 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 import locdom
-from locdom import bound
-from locdom.cli import EXIT_BOUND, EXIT_PARSE, EXIT_SCALE, EXIT_TWINS, _in_order, main
+from locdom import bound, location, solver
+from locdom.cli import EXIT_BOUND, EXIT_PARSE, EXIT_SCALE, EXIT_TWINS, _in_order, _twin_free_fields, main
 from locdom.errors import VerificationFailed
 from locdom.graphs import encode_graph6, generate
 
@@ -198,16 +198,14 @@ class TestCorpus:
         assert records[0]["graph_id"] == "Ch" and records[2]["graph_id"] == "Dhc"
 
     @staticmethod
-    def _sweep_failing_on_c5(runner, tmp_path, monkeypatch, exc):
-        """Sweep P4, C5, P4 at --jobs 1 with construct_ld raising exc on C5."""
-        real = bound.construct_ld
+    def _sweep_patched_on_c5(runner, tmp_path, monkeypatch, module, name, on_c5):
+        """Sweep P4, C5, P4 at --jobs 1 with module.name replaced by on_c5 on C5."""
+        real = getattr(module, name)
 
-        def fail_on_c5(g, **kwargs):
-            if encode_graph6(g) == "Dhc":
-                raise exc
-            return real(g, **kwargs)
+        def patched(g, **kwargs):
+            return (on_c5 if encode_graph6(g) == "Dhc" else real)(g, **kwargs)
 
-        monkeypatch.setattr(bound, "construct_ld", fail_on_c5)
+        monkeypatch.setattr(module, name, patched)
         src = tmp_path / "three.g6"
         src.write_text("Ch\nDhc\nCh\n")
         out = tmp_path / "reports.jsonl"
@@ -217,6 +215,15 @@ class TestCorpus:
         assert [r["index"] for r in records] == [0, 1, 2]
         assert records[0] == dict(records[2], index=0) and "error" not in records[2]
         return result, records
+
+    @classmethod
+    def _sweep_failing_on_c5(cls, runner, tmp_path, monkeypatch, exc):
+        """The sweep above with construct_ld raising exc on C5."""
+
+        def fail(g, **kwargs):
+            raise exc
+
+        return cls._sweep_patched_on_c5(runner, tmp_path, monkeypatch, bound, "construct_ld", fail)
 
     def test_failing_record_isolated(self, runner, tmp_path, monkeypatch):
         exc = VerificationFailed("planted failure")
@@ -232,6 +239,47 @@ class TestCorpus:
         lines = result.stderr.splitlines()
         assert lines[0] == "Traceback (most recent call last):"
         assert lines[-2:] == ["RuntimeError: planted bug", "error: line 2: RuntimeError: planted bug"]
+
+    def test_bad_oracle_witness_caught(self, runner, tmp_path, monkeypatch):
+        # {0, 1} locates C5 but leaves vertex 3 undominated
+        def not_dominating(g, **kwargs):
+            return solver.OptimumWitness(2, 0b11, "locating_dominating")
+
+        result, records = self._sweep_patched_on_c5(
+            runner, tmp_path, monkeypatch, solver, "min_locating_dominating", not_dominating
+        )
+        message = "VerificationFailed: locating-dominating witness failed re-verification"
+        assert records[1]["error"] == message
+        assert "ld_exact" not in records[1]
+        assert result.stderr.splitlines() == [f"error: line 2: {message}"]
+
+    def test_error_names_file_line(self, runner, tmp_path):
+        # blank and comment lines make no record but still count as lines
+        src = tmp_path / "mixed.g6"
+        src.write_text("Ch\n\n# comment\nbad!\nDhc\n")
+        out = tmp_path / "reports.jsonl"
+        result = runner.invoke(main, ["corpus", str(src), "--out", str(out)])
+        assert result.exit_code == EXIT_PARSE
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["index"] for r in records] == [0, 1, 2]
+        assert records[1]["input"] == "bad!"
+        assert result.stderr.splitlines() == [f"error: line 4: {records[1]['error']}"]
+
+    def test_indented_comment_skipped(self, runner, tmp_path):
+        src = tmp_path / "commented.g6"
+        src.write_text("Ch\n   # indented comment\nDhc\n")
+        out = tmp_path / "reports.jsonl"
+        result = runner.invoke(main, ["corpus", str(src), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert [json.loads(line)["graph_id"] for line in out.read_text().splitlines()] == ["Ch", "Dhc"]
+
+    def test_record_builds_planes_once(self):
+        # the bound's score table and the three oracles share one build
+        location.miss_planes.cache_clear()
+        record = {}
+        _twin_free_fields(generate("cycle", 7), {"max_exact": 20, "solve_ceiling": 16, "q1": True}, record)
+        assert {"S", "l_exact", "ld_exact", "q1_found"} <= set(record)
+        assert location.miss_planes.cache_info().misses == 1
 
     def test_negative_order(self, runner):
         result = runner.invoke(main, ["corpus", "all:-1"])

@@ -1,9 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from locdom.errors import DomainViolation, PreconditionViolated
 from locdom.graphs import new_graph, set_of
 from locdom.location import (
+    _miss,
+    _nibble_tables,
     distinguishes,
     extend_to_dominating,
     is_dominating,
@@ -205,3 +207,17 @@ class TestRepresentatives:
 @given(small_graphs())
 def test_score_table_property(g):
     assert list(score_table(g)) == [ref_s(g, to_set(a)) for a in range(1 << g.n)]
+
+
+@st.composite
+def _widths_and_masks(draw):
+    c = draw(st.integers(0, 16))
+    return c, draw(st.integers(0, (1 << c) - 1))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_widths_and_masks())
+def test_miss_plane_property(c_and_m):
+    c, m = c_and_m
+    plane = _miss(_nibble_tables(c)[0], m)
+    assert plane == sum(1 << x for x in range(1 << c) if not x & m)

@@ -11,11 +11,11 @@ from locdom.graphs import all_labeled_graphs, generate, is_twin_free, new_graph,
 from locdom.location import (
     is_locating,
     is_locating_dominating,
+    miss_planes,
     separation_score,
 )
 from locdom.solver import (
     PartitionWitness,
-    _pair_planes,
     _sk_memo,
     min_locating,
     min_locating_dominating,
@@ -88,10 +88,12 @@ class TestMinSets:
             tracemalloc.stop()
         assert (w.size, w.witness) == (10, 5412005)  # recorded from the combinations search
         assert peak < 1 << 21
-        hits = _pair_planes.cache_info().hits
-        out, groups = _pair_planes(g, 16)
-        assert _pair_planes.cache_info().hits == hits + 1
-        assert max(p.bit_length() for p in out + tuple(m for _, m in groups)) <= 1 << 16
+        hits = miss_planes.cache_info().hits
+        planes = miss_planes(g)
+        assert miss_planes.cache_info().hits == hits + 1
+        groupings = (planes.located, planes.dominated, *planes.per_vertex)
+        memo = [*planes.absent, *(p for groups in groupings for _, p in groups)]
+        assert max(p.bit_length() for p in memo) <= 1 << 16
 
 
 class TestTwoLocatingPartition:
