@@ -55,7 +55,7 @@ def _default_max_exact() -> int:
         try:
             return int(env)
         except ValueError:
-            raise click.BadParameter(f"LOCDOM_MAX_EXACT={env!r} is not an integer")
+            raise InvalidParameter(f"LOCDOM_MAX_EXACT={env!r} is not an integer") from None
     return bound.EXACT_CEILING_DEFAULT
 
 
@@ -113,6 +113,16 @@ def _reverify(g: graphs.Graph, l_witness: int, ld_witness: int) -> None:
         raise VerificationFailed("locating witness failed re-verification")
     if not location.is_locating_dominating(g, ld_witness):
         raise VerificationFailed("locating-dominating witness failed re-verification")
+
+
+def _bipartition(g: graphs.Graph) -> solver.PartitionWitness:
+    """two_locating_partition, its witness re-checked before it is serialized."""
+    w = solver.two_locating_partition(g)
+    if w.found and not (
+        w.x ^ w.y == g.full_set and location.is_locating(g, w.x) and location.is_locating(g, w.y)
+    ):
+        raise VerificationFailed("bipartition witness failed re-verification")
+    return w
 
 
 def _bound_record(g: graphs.Graph, mode: str, max_exact: int) -> dict:
@@ -226,7 +236,7 @@ def partition2(input: str) -> None:
     """Search for a bipartition into two locating sets."""
     g = _load_graph(input)
     record = _base_record(g)
-    w = solver.two_locating_partition(g)
+    w = _bipartition(g)
     record.update({"q1_found": w.found, "x": _vs(w.x), "y": _vs(w.y)})
     if not w.found and w.twin_free:
         click.echo("NOTE: twin-free graph with no two-locating-set partition", err=True)
@@ -354,7 +364,7 @@ def _twin_free_fields(g: graphs.Graph, opt: dict, record: dict) -> None:
         record["ld_exact"] = ld_opt.size
         record["conjecture_half"] = 2 * ld_opt.size <= g.n + (g.n & 1)
     if opt["q1"] and g.n <= solver.PARTITION2_CEILING:
-        record["q1_found"] = solver.two_locating_partition(g).found
+        record["q1_found"] = _bipartition(g).found
 
 
 def _in_order(pool: Executor, fn, tasks: Iterable, window: int) -> Iterator:

@@ -20,18 +20,16 @@ minimum sets take the smallest size whose plane of r-subsets meets a
 block's good plane.
 
 s_k is a submask DP over location.score_table: level j holds, for every
-vertex set, the best summed score of its partitions into j blocks.  A call
-for k builds levels up to k - 1 only, and the levels of the last graph are
-memoized (a one-entry lru_cache keyed by the frozen Graph) and extended on
-demand, so asking for every k in turn builds each once.
+vertex set, the best summed score of its partitions into j blocks.  Each
+level is a pure function of the graph and j, memoized in an lru_cache that
+holds every level of one graph at SK_CEILING, so a call for k builds levels
+up to k - 1 only and asking for every k in turn builds each once.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 from typing import Iterable
 
 from .errors import InvalidParameter, RefusedScale
@@ -175,108 +173,64 @@ def two_locating_partition(g: Graph, ceiling: int = PARTITION2_CEILING) -> Parti
 _UNREACHABLE = -(1 << 30)
 
 
-class _SkLevels:
-    """score_table(g) and the levels f_0, f_1, ... of the partition DP over it.
-
-    f_j[mask] is the largest summed score of a partition of mask into j
-    non-empty blocks, or _UNREACHABLE: f_1 = T on non-empty masks and
-    f_j[mask] = max of T[B] + f_{j-1}[mask - B] over the blocks B with
-    low(mask) in B, B a proper subset of mask.  From level 2 on only the
-    masks without vertex 0 are filled, and only those with at least j
-    vertices: every completion the witness rebuild reads lies above vertex
-    0, and s_k = f_k[V] is read off level k - 1.  Levels are built on
-    demand, so one call for a small k builds few of them.  Tuples, as
-    every caller of the memo shares them.
+@lru_cache(maxsize=SK_CEILING)  # levels 0..n - 1 of one graph at the ceiling
+def _sk_level(g: Graph, j: int) -> tuple[int, ...]:
+    """f_j[mask]: the largest summed score of a partition of mask into j
+    non-empty blocks, or _UNREACHABLE.  f_0 is 0 at the empty set only, f_1
+    is score_table(g) on non-empty masks, and f_j[mask] is the max of
+    f_1[B] + f_{j-1}[mask - B] over the blocks B with low(mask) in B, B a
+    proper subset of mask, filled only at the masks without vertex 0 of at
+    least j vertices: all that _completion reads.
     """
-
-    def __init__(self, g: Graph):
-        self.table = score_table(g)
-        self.n = g.n
-        size = 1 << g.n
-        self.levels = [(0,) + (_UNREACHABLE,) * (size - 1), (_UNREACHABLE, *self.table[1:])]
-        self._lock = threading.Lock()
-        self._splits: list | None = None  # built for level 2, dropped after level n - 1
-
-    def upto(self, j: int) -> tuple[tuple[int, ...], ...]:
-        """The levels f_0..f_j, building the missing ones."""
-        size = 1 << self.n
-        with self._lock:  # callers in several threads share the memo
-            while len(self.levels) <= j:
-                if self._splits is None:
-                    self._splits = self._make_splits()
-                level = len(self.levels)
-                at = self.levels[-1].__getitem__
-                cur = [_UNREACHABLE] * size
-                for count, mask, scores, subs in self._splits:
-                    if count < level:
-                        break
-                    cur[mask] = max(map(add, scores, map(at, subs)))
-                self.levels.append(tuple(cur))
-            if len(self.levels) == self.n:
-                self._splits = None  # no k reads a level above n - 1
-            return tuple(self.levels[: j + 1])
-
-    def _make_splits(self) -> list:
-        """For each mask without vertex 0, of two or more vertices: its size,
-        the remainders mask - B and the scores T[B], largest masks first."""
-        splits = []
-        for mask in range(2, 1 << self.n, 2):
-            rest = mask ^ mask & -mask
-            subs = []
-            sub = rest
-            while sub:
-                subs.append(sub)
-                sub = sub - 1 & rest
-            if subs:
-                splits.append((mask.bit_count(), mask, [self.table[mask ^ sub] for sub in subs], subs))
-        splits.sort(key=lambda split: -split[0])
-        return splits
-
-    def top(self, k: int) -> int:
-        """s_k = f_k[V]: the block B of vertex 0 plus the best (k - 1)-partition of V - B."""
-        full = (1 << self.n) - 1
-        if k == 1:
-            return self.table[full]
-        below = self.upto(k - 1)[k - 1]
-        # V - B runs over the non-empty sets without vertex 0
-        return max(self.table[full ^ rest] + below[rest] for rest in range(2, full + 1, 2))
+    size = 1 << g.n
+    if j == 0:
+        return (0,) + (_UNREACHABLE,) * (size - 1)
+    if j == 1:
+        return (_UNREACHABLE, *score_table(g)[1:])
+    table, below = _sk_level(g, 1), _sk_level(g, j - 1)
+    level = [_UNREACHABLE] * size
+    for mask in range(2, size, 2):
+        if mask.bit_count() < j:
+            continue
+        rest = mask ^ mask & -mask
+        best = _UNREACHABLE
+        sub = rest  # mask - B, over the non-empty subsets of rest
+        while sub:
+            value = table[mask ^ sub] + below[sub]
+            if value > best:
+                best = value
+            sub = sub - 1 & rest
+        level[mask] = best
+    return tuple(level)
 
 
-@lru_cache(maxsize=1)
-def _sk_memo(g: Graph) -> _SkLevels:
-    """The DP levels of the last graph, shared by the calls for each k."""
-    return _SkLevels(g)
-
-
-def _extend(table: bytes, block: int, best: list[int], shift: int, xs: Iterable[int]) -> list[int]:
+def _extend(
+    table: tuple[int, ...], block: int, best: list[int], shift: int, xs: Iterable[int]
+) -> list[int]:
     """For each x in xs, the max of table[block | e << shift] + best[x ^ e] over the subsets e of x."""
     out = []
     for x in xs:
-        top = _UNREACHABLE
+        top = table[block] + best[x]  # e = 0
         e = x
-        while True:
+        while e:
             value = table[block | e << shift] + best[x ^ e]
             if value > top:
                 top = value
-            if not e:
-                break
             e = e - 1 & x
         out.append(top)
     return out
 
 
-def _completion(
-    table: bytes, levels: tuple[tuple[int, ...], ...], blocks: list[int], k: int, i: int, n: int
-) -> int:
+def _completion(g: Graph, blocks: list[int], k: int, i: int) -> int:
     """Best value of a k-partition whose blocks meet 0..i in exactly blocks.
 
     The vertices above i extend each block by a subset of them, and the rest
-    split into the k - len(blocks) missing blocks, read from the levels.
+    split into the k - len(blocks) missing blocks, read from their level.
     Subsets of the vertices above i are indexed by x, the set x << (i + 1).
     """
+    table, missing = _sk_level(g, 1), _sk_level(g, k - len(blocks))
     shift = i + 1
-    count = 1 << (n - shift)
-    missing = levels[k - len(blocks)]
+    count = 1 << (g.n - shift)
     best = [missing[x << shift] for x in range(count)]
     for block in blocks[:0:-1]:
         best = _extend(table, block, best, shift, range(count))
@@ -286,19 +240,16 @@ def _completion(
 def s_k_of_graph(g: Graph, k: int, ceiling: int = SK_CEILING) -> SkResult:
     """Maximum of the summed separation score over all k-partitions of V.
 
-    A submask DP over score_table (_SkLevels, memoized for the last
-    graph).  The witness is the maximizing partition whose restricted-growth
-    string is lexicographically first: vertex by vertex, the smallest label
-    whose best completion still reaches the maximum.  Its blocks are
-    bitmasks indexed by first occurrence.
+    A submask DP over score_table (_sk_level).  The witness is the
+    maximizing partition whose restricted-growth string is lexicographically
+    first: vertex by vertex, the smallest label whose best completion still
+    reaches the maximum.  Its blocks are bitmasks indexed by first occurrence.
     """
     if g.n > ceiling:
         raise RefusedScale(f"k-partition search refused for n={g.n} > {ceiling}")
     if not 1 <= k <= g.n:
         raise InvalidParameter(f"k={k} outside 1..{g.n}")
-    memo = _sk_memo(g)
-    table, levels = memo.table, memo.upto(k - 1)
-    value = memo.top(k)
+    value = _completion(g, [1], k, 0)  # every partition has vertex 0 in block 0
     blocks = [1]
     for i in range(1, g.n):
         last = min(len(blocks), k - 1)
@@ -308,12 +259,11 @@ def s_k_of_graph(g: Graph, k: int, ceiling: int = SK_CEILING) -> SkResult:
         for label in tried:
             trial = blocks[:]
             trial[label] |= 1 << i
-            if _completion(table, levels, trial, k, i, g.n) == value:
+            if _completion(g, trial, k, i) == value:
                 break
         else:
             label = last
-        if label < len(blocks):
-            blocks[label] |= 1 << i
-        else:
-            blocks.append(1 << i)
+        if label == len(blocks):
+            blocks.append(0)
+        blocks[label] |= 1 << i
     return SkResult(k, value, tuple(blocks), is_twin_free(g))

@@ -71,21 +71,40 @@ class TestBound:
         result = runner.invoke(main, ["bound", "-"], input="Ch\n")
         assert result.exit_code == EXIT_SCALE
 
+    def test_bad_max_exact_env(self, runner, monkeypatch):
+        monkeypatch.setenv("LOCDOM_MAX_EXACT", "x")
+        result = runner.invoke(main, ["bound", "-"], input="Ch\n")
+        assert result.exit_code == EXIT_PARSE
+        assert result.stderr.splitlines() == ["error: LOCDOM_MAX_EXACT='x' is not an integer"]
 
-# python -O strips assert statements; the witness re-check must still fire
+
+# python -O strips assert statements; the witness re-check must still fire.
+# Each entry is the patch and the start of its one error line.
 BAD_WITNESS_PATCHES = {
-    "bound": "r = bound.construct_ld\n"
-    "bound.construct_ld = lambda *a, **k: dataclasses.replace(r(*a, **k), witness=0)\n",
-    "solve": "solver.min_locating = lambda g, ceiling: solver.OptimumWitness(0, 0, 'locating')\n",
+    "bound": (
+        "r = bound.construct_ld\n"
+        "bound.construct_ld = lambda *a, **k: dataclasses.replace(r(*a, **k), witness=0)\n",
+        "error: locating witness failed",
+    ),
+    "solve": (
+        "solver.min_locating = lambda g, ceiling: solver.OptimumWitness(0, 0, 'locating')\n",
+        "error: locating witness failed",
+    ),
+    # {0} does not locate P4: vertices 2 and 3 both see none of it
+    "partition2": (
+        "solver.two_locating_partition = lambda g: solver.PartitionWitness(1, 14, True, True)\n",
+        "error: bipartition witness failed",
+    ),
 }
 
 
 @pytest.mark.parametrize("command", sorted(BAD_WITNESS_PATCHES))
 def test_bad_witness_caught_under_optimize(command):
+    patch, message = BAD_WITNESS_PATCHES[command]
     script = (
         "import dataclasses\n"
         "from locdom import bound, cli, solver\n"
-        + BAD_WITNESS_PATCHES[command]
+        + patch
         + f"cli.main([{command!r}, '-'])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(locdom.__file__).parents[1]))
@@ -99,7 +118,7 @@ def test_bad_witness_caught_under_optimize(command):
     )
     assert proc.returncode == EXIT_PARSE, proc.stdout
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: locating witness failed")
+    assert proc.stderr.startswith(message)
     assert len(proc.stderr.splitlines()) == 1
 
 
@@ -251,6 +270,19 @@ class TestCorpus:
         message = "VerificationFailed: locating-dominating witness failed re-verification"
         assert records[1]["error"] == message
         assert "ld_exact" not in records[1]
+        assert result.stderr.splitlines() == [f"error: line 2: {message}"]
+
+    def test_bad_bipartition_witness_caught(self, runner, tmp_path, monkeypatch):
+        # {0} does not locate C5: vertices 1 and 4 both see just vertex 0
+        def not_locating(g, **kwargs):
+            return solver.PartitionWitness(1, 0b11110, True, True)
+
+        result, records = self._sweep_patched_on_c5(
+            runner, tmp_path, monkeypatch, solver, "two_locating_partition", not_locating
+        )
+        message = "VerificationFailed: bipartition witness failed re-verification"
+        assert records[1]["error"] == message
+        assert "q1_found" not in records[1]
         assert result.stderr.splitlines() == [f"error: line 2: {message}"]
 
     def test_error_names_file_line(self, runner, tmp_path):

@@ -16,7 +16,7 @@ from locdom.location import (
 )
 from locdom.solver import (
     PartitionWitness,
-    _sk_memo,
+    _sk_level,
     min_locating,
     min_locating_dominating,
     s_k_of_graph,
@@ -223,13 +223,34 @@ class TestSk:
     def test_small_k_builds_few_levels(self):
         # s_2 reads level 1 only: f_0 and f_1 exist, and at most f_2 besides
         g = generate("gnp", 12, 0.3, 5)
-        _sk_memo.cache_clear()
+        _sk_level.cache_clear()
         res = s_k_of_graph(g, 2)
-        assert len(_sk_memo(g).levels) <= 3
+        assert _sk_level.cache_info().currsize <= 3
         assert res.value == max_score_exact(g)[0]
 
+    def test_levels_stay_small(self):
+        # the levels of one graph at the ceiling are 12 tuples of 2^12 small
+        # ints, about 0.4 MiB; scratch space beside them must stay small too
+        g = generate("gnp", 12, 0.3, 5)
+        _sk_level.cache_clear()
+        miss_planes.cache_clear()
+        tracemalloc.start()
+        try:
+            for k in range(1, g.n + 1):
+                s_k_of_graph(g, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_raised_ceiling(self):
+        # above SK_CEILING, past the graph size the level memo is sized for
+        g = generate("gnp", 13, 0.3, 2)
+        assert is_twin_free(g)
+        assert s_k_of_graph(g, 2, ceiling=13).value == max_score_exact(g)[0]
+
     def test_levels_shared_across_threads(self):
-        # threads extending one graph's memo at once must not lose or repeat a level
+        # threads filling one graph's levels at once must all read the same values
         g = generate("gnp", 9, 0.4, 11)
         ks = [9, 4, 8, 2, 7, 5, 9, 6, 3, 8, 1, 5]
         expected = [s_k_of_graph(g, k) for k in ks]
@@ -237,7 +258,7 @@ class TestSk:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                _sk_memo.cache_clear()
+                _sk_level.cache_clear()
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     assert list(pool.map(lambda k: s_k_of_graph(g, k), ks, timeout=60)) == expected
         finally:
