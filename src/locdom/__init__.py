@@ -36,8 +36,6 @@ from .graphs import (
     set_of,
 )
 from .location import (
-    ClassPartition,
-    distinguishes,
     extend_to_dominating,
     is_dominating,
     is_locating,
@@ -45,7 +43,6 @@ from .location import (
     representatives,
     score_table,
     separation_score,
-    trace,
     x_partition,
 )
 from .solver import (

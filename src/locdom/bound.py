@@ -119,8 +119,7 @@ def thinning_move(g: Graph, a: int, u_class: int, u: int) -> int:
     Neither separation score decreases under this move; tests check that
     property, this function only performs the absorption.
     """
-    part = x_partition(g, a, g.complement_set(a))
-    if u_class not in part.classes:
+    if u_class not in x_partition(g, a, g.complement_set(a)):
         raise DomainViolation("u_class is not a class of the a-partition")
     if u_class.bit_count() < 2:
         raise DomainViolation("u_class is trivial")
@@ -140,9 +139,8 @@ def local_search(g: Graph, a0: int) -> ScoredSet:
     a = a0
     current = score_sum(g, a)
     while True:
-        part = x_partition(g, a, g.complement_set(a))
         moved = False
-        for cls in part.classes:
+        for cls in x_partition(g, a, g.complement_set(a)):
             if cls.bit_count() < 2:
                 continue
             u_bit = cls & -cls
@@ -210,8 +208,7 @@ def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int
     r = sums.find(best_sum)
     while r >= 0:
         if table[full ^ r] == r.bit_count():
-            part = x_partition(g, r, full ^ r)
-            k = sum(1 for cls in part.classes if cls.bit_count() >= 2)
+            k = sum(1 for cls in x_partition(g, r, full ^ r) if cls.bit_count() >= 2)
             if k > best_k:
                 best_k = k
                 best_good = r
@@ -237,7 +234,7 @@ def build_z(g: Graph, a: int, b: int) -> int:
     if k <= 1:
         return 0
     # pick one probe vertex per a-class; traces are constant on a class
-    probes = [(cls & -cls).bit_length() - 1 for cls in a_part.classes]
+    probes = [(cls & -cls).bit_length() - 1 for cls in a_part]
     z = 0
     while True:
         z_part = x_partition(g, z, b)
@@ -247,7 +244,7 @@ def build_z(g: Graph, a: int, b: int) -> int:
             raise Infeasible("separator exceeded k-1 vertices")
         # find two a-classes merged under z
         pair = None
-        for zc in z_part.classes:
+        for zc in z_part:
             inside = [p for p in probes if zc >> p & 1]
             if len(inside) >= 2:
                 pair = (inside[0], inside[1])
@@ -274,11 +271,10 @@ def decompose(g: Graph, a: int, s_max: int | None = None) -> GoodDecomposition:
     if s_max is not None and scored.sum != s_max:
         raise NotGood(f"score sum {scored.sum} != maximum {s_max}")
     comp = g.complement_set(a)
-    part = x_partition(g, a, comp)
     b = 0
     r_b = 0
     k = 0
-    for cls in part.classes:
+    for cls in x_partition(g, a, comp):
         if cls.bit_count() >= 2:
             b |= cls
             r_b |= cls & -cls
@@ -287,7 +283,7 @@ def decompose(g: Graph, a: int, s_max: int | None = None) -> GoodDecomposition:
     rep_side = r_b | c
     rest = g.complement_set(rep_side)  # a | (b \ r_b)
     a_prime = 0
-    for cls in x_partition(g, rep_side, rest).classes:
+    for cls in x_partition(g, rep_side, rest):
         if cls.bit_count() >= 2:
             a_prime |= cls & a
     z = build_z(g, a, b)
@@ -369,6 +365,8 @@ def construct_locating(
     the empty set and from a seeded random set, reports the best verified
     candidate, and never certifies.
     """
+    if mode not in ("exact", "heuristic"):
+        raise DomainViolation(f"unknown mode {mode!r}")
     if g.n == 0:
         return BoundReport(0, (), 0, mode, mode == "exact", 0, 0)
     if not is_twin_free(g):
@@ -384,8 +382,6 @@ def construct_locating(
                 f"{locating_size_limit(g.n)} for n={g.n}"
             )
         return BoundReport(g.n, cands, witness, "exact", True, s_value, d.k)
-    if mode != "heuristic":
-        raise DomainViolation(f"unknown mode {mode!r}")
     best: BoundReport | None = None
     for a0 in (0, _random_subset(g.n, rng_seed)):
         scored = local_search(g, a0)

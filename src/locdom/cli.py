@@ -46,8 +46,6 @@ _EXIT_CODES = (
     (LocdomError, EXIT_PARSE),
 )
 
-SOLVE_CEILING_DEFAULT = solver.MIN_SET_CEILING
-
 
 def _default_max_exact() -> int:
     env = os.environ.get("LOCDOM_MAX_EXACT")
@@ -66,8 +64,7 @@ def _read_input(path: str) -> str:
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
     except OSError as exc:
-        click.echo(f"error: cannot read {path}: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        raise LocdomError(f"cannot read {path}: {exc}") from None
 
 
 def _parse_graph_text(text: str) -> graphs.Graph:
@@ -83,11 +80,11 @@ def _parse_graph_text(text: str) -> graphs.Graph:
 
 
 def _load_graph(path: str) -> graphs.Graph:
+    text = _read_input(path)
     try:
-        return _parse_graph_text(_read_input(path))
+        return _parse_graph_text(text)
     except LocdomError as exc:
-        click.echo(f"error: {path}: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
+        raise LocdomError(f"{path}: {exc}") from None
 
 
 def _vs(s: int) -> list[int]:
@@ -207,7 +204,7 @@ def bound_cmd(input: str, mode: str, max_exact: int | None) -> None:
 
 @main.command()
 @click.argument("input", default="-")
-@click.option("--ceiling", type=int, default=SOLVE_CEILING_DEFAULT)
+@click.option("--ceiling", type=int, default=solver.MIN_SET_CEILING)
 def solve(input: str, ceiling: int) -> None:
     """Exact minimum locating and locating-dominating sets."""
     timer = _Timer()
@@ -238,7 +235,7 @@ def partition2(input: str) -> None:
     record = _base_record(g)
     w = _bipartition(g)
     record.update({"q1_found": w.found, "x": _vs(w.x), "y": _vs(w.y)})
-    if not w.found and w.twin_free:
+    if not w.found and record["twin_free"]:
         click.echo("NOTE: twin-free graph with no two-locating-set partition", err=True)
     click.echo(_dumps(record))
 
@@ -387,7 +384,7 @@ def _in_order(pool: Executor, fn, tasks: Iterable, window: int) -> Iterator:
 @click.option("--jobs", type=int, default=1)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--max-exact", type=int, default=None)
-@click.option("--solve-ceiling", type=int, default=SOLVE_CEILING_DEFAULT)
+@click.option("--solve-ceiling", type=int, default=solver.MIN_SET_CEILING)
 @click.option("--no-q1", is_flag=True, default=False)
 def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
     """Sweep a corpus: SOURCE is a file of graph6 lines, '-' for stdin,

@@ -62,9 +62,6 @@ class Graph:
         """V \\ s."""
         return self.full_set ^ s
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -99,10 +96,15 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 # ---------------------------------------------------------------------------
 # graph6 codec.  Standard format: order as N(n), then the upper triangle
-# read column-major -- (0,1),(0,2),(1,2),(0,3),... -- packed big-endian into
-# 6-bit chunks, each chunk emitted as chr(value + 63); trailing pad bits zero.
+# read column-major -- (0,1),(0,2),(1,2),(0,3),..., the pair order of
+# labeled_graph's pattern -- packed big-endian into 6-bit chunks, each chunk
+# emitted as chr(value + 63); trailing pad bits zero.
 
 _G6_HEADER = ">>graph6<<"
+# each graph6 character to its six bits, most significant first
+_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+_G6_CHARS = {bits: chr(c) for c, bits in _G6_BITS.items()}
+_G6_OUTSIDE = re.compile(r"[^?-~]")  # '?' .. '~' are the 64 graph6 characters
 
 
 def _encode_order(n: int) -> str:
@@ -114,26 +116,17 @@ def _encode_order(n: int) -> str:
 
 
 def encode_graph6(g: Graph) -> str:
-    out = [_encode_order(g.n)]
-    chunk = 0
-    nbits = 0
-    for j in range(g.n):
-        col = g.adj[j]
-        for i in range(j):
-            chunk = chunk << 1 | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(chunk + 63))
-                chunk = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((chunk << (6 - nbits)) + 63))
-    return "".join(out)
-
-
-# each graph6 character to its six bits, most significant first
-_G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
-_G6_OUTSIDE = re.compile(r"[^?-~]")  # '?' .. '~' are the 64 graph6 characters
+    """The order, then the triangle pattern of g (labeled_graph's m) as the
+    bit stream: bit t of m is the t-th bit, padded to whole chunks."""
+    order = _encode_order(g.n)  # first, so too large an order raises at once
+    m = 0
+    for j in range(1, g.n):
+        m |= (g.adj[j] & (1 << j) - 1) << (j * (j - 1) >> 1)
+    nbits = g.n * (g.n - 1) // 2
+    width = nbits + -nbits % 6
+    # a leading 1 keeps width digits even when width = 0; reversed, bit 0 leads
+    bits = format(m | 1 << width, "b")[:0:-1]
+    return order + "".join(_G6_CHARS[bits[i : i + 6]] for i in range(0, width, 6))
 
 
 def decode_graph6(text: str) -> Graph:
@@ -164,19 +157,7 @@ def decode_graph6(text: str) -> Graph:
     bits = body.translate(_G6_BITS)
     if "1" in bits[nbits:]:
         raise MalformedGraph6("nonzero padding bits")
-    # column j of the upper triangle, pairs (0,j)..(j-1,j), is one slice of
-    # the stream; its reverse read in base 2 is N(j) below j
-    adj = [0] * n
-    start = 0
-    for j in range(1, n):
-        below = int(bits[start : start + j][::-1], 2)
-        start += j
-        adj[j] = below
-        while below:
-            low = below & -below
-            adj[low.bit_length() - 1] |= 1 << j
-            below ^= low
-    return Graph(n, tuple(adj))
+    return labeled_graph(n, int(bits[:nbits][::-1] or "0", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +248,15 @@ def generate(kind: str, n: int, p: float | None = None, seed: int | None = None)
     return new_graph(n, pairs)
 
 
-def labeled_graph_count(n: int, allow_large: bool = False) -> int:
+def labeled_graph_count(n: int) -> int:
     """2^(n(n-1)/2), the number of labeled simple graphs on n vertices.
 
     Raises as all_labeled_graphs does: InvalidParameter for n < 0 and
-    RefusedScale above ENUM_MAX_ORDER unless allow_large.
+    RefusedScale above ENUM_MAX_ORDER.
     """
     if n < 0:
         raise InvalidParameter(f"negative vertex count {n}")
-    if n > ENUM_MAX_ORDER and not allow_large:
+    if n > ENUM_MAX_ORDER:
         raise RefusedScale(f"full enumeration refused for n={n} > {ENUM_MAX_ORDER}")
     return 1 << n * (n - 1) // 2
 
@@ -298,13 +279,13 @@ def labeled_graph(n: int, m: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def all_labeled_graphs(n: int, allow_large: bool = False) -> Iterator[Graph]:
+def all_labeled_graphs(n: int) -> Iterator[Graph]:
     """All labeled simple graphs on n vertices, labeled_graph(n, m) for m = 0, 1, ...
 
     The order checks of labeled_graph_count run at the call, not at the
     first item.
     """
-    return map(partial(labeled_graph, n), range(labeled_graph_count(n, allow_large)))
+    return map(partial(labeled_graph, n), range(labeled_graph_count(n)))
 
 
 # ---------------------------------------------------------------------------

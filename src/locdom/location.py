@@ -17,28 +17,9 @@ from .errors import DomainViolation, PreconditionViolated
 from .graphs import Graph, members
 
 
-@dataclass(frozen=True)
-class ClassPartition:
-    """Partition of ``ground`` into classes of equal trace.
-
-    Classes are ordered by their minimum member; ``traces[i]`` is the common
-    trace shared by every member of ``classes[i]``.
-    """
-
-    ground: int
-    classes: tuple[int, ...]
-    traces: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-
-def trace(g: Graph, v: int, x: int) -> int:
-    return g.adj[v] & x
-
-
-def x_partition(g: Graph, x: int, y: int) -> ClassPartition:
-    """Partition y by trace with respect to x; requires y within V \\ x."""
+def x_partition(g: Graph, x: int, y: int) -> tuple[int, ...]:
+    """Classes of y by equal trace on x, as bitmasks ordered by minimum
+    member; y must lie within V \\ x."""
     if y & ~g.complement_set(x):
         raise DomainViolation("y must be a subset of the complement of x")
     groups: dict[int, int] = {}
@@ -46,13 +27,13 @@ def x_partition(g: Graph, x: int, y: int) -> ClassPartition:
         t = g.adj[v] & x
         groups[t] = groups.get(t, 0) | 1 << v
     # insertion order = first-seen order = order by minimum member
-    return ClassPartition(y, tuple(groups.values()), tuple(groups.keys()))
+    return tuple(groups.values())
 
 
-def representatives(part: ClassPartition) -> int:
-    """Minimum-index member of each class of a ClassPartition."""
+def representatives(classes: tuple[int, ...]) -> int:
+    """Minimum-index member of each class of a trace partition."""
     chosen = 0
-    for cls in part.classes:
+    for cls in classes:
         chosen |= cls & -cls
     return chosen
 
@@ -220,14 +201,6 @@ def score_table(g: Graph) -> bytearray:
             total |= int.from_bytes(format(count, digits).encode().translate(_DIGIT_TO_BYTE[j]), "big")
         table[h << c : (h + 1) << c] = total.to_bytes(size, "little")
     return table
-
-
-def distinguishes(g: Graph, x: int, v: int, v2: int) -> bool:
-    """True iff vertex x is adjacent to exactly one of v, v2."""
-    if v == v2 or x == v or x == v2:
-        raise DomainViolation("need three distinct vertices")
-    row = g.adj[x]
-    return (row >> v & 1) != (row >> v2 & 1)
 
 
 def is_locating(g: Graph, x: int) -> bool:

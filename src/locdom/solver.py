@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import InvalidParameter, RefusedScale
-from .graphs import Graph, is_twin_free
+from .graphs import Graph
 from .location import BLOCK_BITS, block_misses, miss_planes, score_table
 
 MIN_SET_CEILING = 16
@@ -45,7 +45,6 @@ SK_CEILING = 12
 class OptimumWitness:
     size: int
     witness: int
-    kind: str  # "locating" or "locating_dominating"
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ class PartitionWitness:
     x: int
     y: int
     found: bool
-    twin_free: bool
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,6 @@ class SkResult:
     k: int
     value: int
     witness_partition: tuple[int, ...]
-    twin_free: bool
 
 
 # bit j of byte b moved to bit 7 - j
@@ -126,8 +123,7 @@ def _min_good(g: Graph, dominating: bool, ceiling: int) -> OptimumWitness:
         differ = x ^ best
         if high_size + low_size < best_size or differ & -differ & x:
             best_size, best = high_size + low_size, x
-    kind = "locating_dominating" if dominating else "locating"
-    return OptimumWitness(best_size, best, kind)
+    return OptimumWitness(best_size, best)
 
 
 def min_locating(g: Graph, ceiling: int = MIN_SET_CEILING) -> OptimumWitness:
@@ -144,16 +140,15 @@ def two_locating_partition(g: Graph, ceiling: int = PARTITION2_CEILING) -> Parti
     """Search all bipartitions V = X | Y for two simultaneous locating sets.
 
     Vertex 0 is pinned to X to halve the space; the first witness in
-    increasing order of X's bit pattern is returned.  Twins are permitted;
-    the result carries a twin_free flag instead.  The vertices from
-    BLOCK_BITS up are fixed to each high pattern h in turn, and the block
-    of 2^BLOCK_BITS choices below them is tested as one plane.
+    increasing order of X's bit pattern is returned.  Twins are permitted.
+    The vertices from BLOCK_BITS up are fixed to each high pattern h in
+    turn, and the block of 2^BLOCK_BITS choices below them is tested as one
+    plane.
     """
     if g.n > ceiling:
         raise RefusedScale(f"bipartition search refused for n={g.n} > {ceiling}")
-    tf = is_twin_free(g)
     if g.n == 0:
-        return PartitionWitness(0, 0, True, tf)
+        return PartitionWitness(0, 0, True)
     planes = miss_planes(g)
     c, groups = planes.c, planes.located
     pinned = ((1 << (1 << c)) - 1) ^ planes.absent[0]
@@ -164,8 +159,8 @@ def two_locating_partition(g: Graph, ceiling: int = PARTITION2_CEILING) -> Parti
         good = pinned & ~block_misses(groups, h) & ~comp_bad
         if good:
             x = h << c | (good & -good).bit_length() - 1
-            return PartitionWitness(x, g.full_set ^ x, True, tf)
-    return PartitionWitness(0, 0, False, tf)
+            return PartitionWitness(x, g.full_set ^ x, True)
+    return PartitionWitness(0, 0, False)
 
 
 # the value of a k-partition that no set of blocks can reach; every sum
@@ -266,4 +261,4 @@ def s_k_of_graph(g: Graph, k: int, ceiling: int = SK_CEILING) -> SkResult:
         if label == len(blocks):
             blocks.append(0)
         blocks[label] |= 1 << i
-    return SkResult(k, value, tuple(blocks), is_twin_free(g))
+    return SkResult(k, value, tuple(blocks))

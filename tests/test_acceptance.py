@@ -111,7 +111,7 @@ def test_criterion_3_thinning_never_decreases():
         g = rng.choice(pool)
         a = rng.getrandbits(g.n)
         part = x_partition(g, a, g.complement_set(a))
-        fat = [c for c in part.classes if c.bit_count() >= 2]
+        fat = [c for c in part if c.bit_count() >= 2]
         if not fat:
             continue
         cls = rng.choice(fat)

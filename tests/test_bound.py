@@ -23,7 +23,7 @@ from locdom.errors import (
     RefusedScale,
     TwinsPresent,
 )
-from locdom.graphs import all_labeled_graphs, decode_graph6, generate, is_twin_free, set_of
+from locdom.graphs import all_labeled_graphs, decode_graph6, generate, is_twin_free, new_graph, set_of
 from locdom.location import is_locating, is_locating_dominating, score_table, x_partition
 
 from conftest import random_graphs
@@ -94,7 +94,7 @@ class TestThinningMove:
             for a in range(0, 1 << g.n, 3):
                 before = score_sum(g, a)
                 part = x_partition(g, a, g.complement_set(a))
-                for cls in part.classes:
+                for cls in part:
                     if cls.bit_count() < 2:
                         continue
                     for u_bit in (cls & -cls,):
@@ -168,7 +168,7 @@ class TestMaxScoreExact:
         # reference: normalize every maximizer, then keep the largest k and,
         # among those, the smallest bit pattern
         def k_of(g, r):
-            return sum(cls.bit_count() >= 2 for cls in x_partition(g, r, g.complement_set(r)).classes)
+            return sum(cls.bit_count() >= 2 for cls in x_partition(g, r, g.complement_set(r)))
 
         # all graphs with n <= 5, twins included: 184 of them have S < n,
         # where the walk over maximizers stops early only at k = n - S > 0
@@ -241,7 +241,7 @@ class TestDecompose:
         assert d.z.bit_count() <= d.k - 1
         apart = x_partition(g, d.a, d.b)
         zpart = x_partition(g, d.z, d.b)
-        assert set(apart.classes) == set(zpart.classes)
+        assert set(apart) == set(zpart)
 
     def test_invariants_on_exact_corpus(self):
         for g in random_graphs(25, 4, 9, seed0=107):
@@ -250,7 +250,7 @@ class TestDecompose:
             # b is the union of the non-trivial classes, c the rest
             part = x_partition(g, d.a, g.complement_set(d.a))
             b_expect = 0
-            for cls in part.classes:
+            for cls in part:
                 if cls.bit_count() >= 2:
                     b_expect |= cls
             assert d.b == b_expect
@@ -273,7 +273,7 @@ class TestBuildZ:
         d = decompose(g, a)
         z = build_z(g, d.a, d.b)
         assert z.bit_count() <= d.k - 1
-        assert set(x_partition(g, z, d.b).classes) == set(x_partition(g, d.a, d.b).classes)
+        assert set(x_partition(g, z, d.b)) == set(x_partition(g, d.a, d.b))
 
 
 class TestCandidates:
@@ -318,10 +318,15 @@ class TestConstruct:
             construct_locating(c4)
 
     def test_empty_graph(self):
-        from locdom.graphs import new_graph
-
         r = construct_ld(new_graph(0, []))
         assert r.witness == 0 and r.ld_witness == 0
+        assert r.candidates == () and r.certified
+
+    @pytest.mark.parametrize("construct", [construct_locating, construct_ld])
+    def test_unknown_mode_on_empty_graph(self, construct):
+        # the mode is checked before the empty-graph shortcut
+        with pytest.raises(DomainViolation):
+            construct(new_graph(0, []), mode="bogus")
 
     def test_averaging_combination(self):
         # min(eq1,eq4) <= (n+2k-1)/2 and min(eq1,eq2,eq3) <= (2n-k)/3

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -87,12 +88,12 @@ BAD_WITNESS_PATCHES = {
         "error: locating witness failed",
     ),
     "solve": (
-        "solver.min_locating = lambda g, ceiling: solver.OptimumWitness(0, 0, 'locating')\n",
+        "solver.min_locating = lambda g, ceiling: solver.OptimumWitness(0, 0)\n",
         "error: locating witness failed",
     ),
     # {0} does not locate P4: vertices 2 and 3 both see none of it
     "partition2": (
-        "solver.two_locating_partition = lambda g: solver.PartitionWitness(1, 14, True, True)\n",
+        "solver.two_locating_partition = lambda g: solver.PartitionWitness(1, 14, True)\n",
         "error: bipartition witness failed",
     ),
 }
@@ -122,6 +123,23 @@ def test_bad_witness_caught_under_optimize(command):
     assert len(proc.stderr.splitlines()) == 1
 
 
+class TestInputErrors:
+    """An input that cannot be read or parsed is one error line and exit 2."""
+
+    def test_unreadable_file(self, runner):
+        result = runner.invoke(main, ["bound", "/no/such/file"])
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read /no/such/file: ")
+
+    def test_bad_graph6_on_stdin(self, runner):
+        result = runner.invoke(main, ["bound", "-"], input="bad!\n")
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: -: character '!' outside graph6 alphabet"]
+
+
 class TestSolve:
     def test_p4(self, runner):
         rec = run_json(runner, ["solve", "-"], input="Ch\n")
@@ -140,6 +158,20 @@ class TestQuestionTools:
     def test_partition2(self, runner):
         rec = run_json(runner, ["partition2", "-"], input="Ch\n")
         assert rec["q1_found"] is True
+
+    def test_partition2_note(self, runner, monkeypatch):
+        # the NOTE is for a twin-free graph without a witness; P4 has one,
+        # so the search is made to report none
+        real = solver.two_locating_partition
+        monkeypatch.setattr(
+            solver, "two_locating_partition", lambda g: dataclasses.replace(real(g), x=0, y=0, found=False)
+        )
+        for g6, note in (("Ch", True), ("Cl", False)):  # P4 is twin-free, C4 is not
+            result = runner.invoke(main, ["partition2", "-"], input=g6 + "\n")
+            assert result.exit_code == 0
+            assert json.loads(result.stdout)["q1_found"] is False
+            expected = ["NOTE: twin-free graph with no two-locating-set partition"] if note else []
+            assert result.stderr.splitlines() == expected
 
     def test_sk(self, runner):
         rec = run_json(runner, ["sk", "-", "2"], input="Ch\n")
@@ -262,7 +294,7 @@ class TestCorpus:
     def test_bad_oracle_witness_caught(self, runner, tmp_path, monkeypatch):
         # {0, 1} locates C5 but leaves vertex 3 undominated
         def not_dominating(g, **kwargs):
-            return solver.OptimumWitness(2, 0b11, "locating_dominating")
+            return solver.OptimumWitness(2, 0b11)
 
         result, records = self._sweep_patched_on_c5(
             runner, tmp_path, monkeypatch, solver, "min_locating_dominating", not_dominating
@@ -275,7 +307,7 @@ class TestCorpus:
     def test_bad_bipartition_witness_caught(self, runner, tmp_path, monkeypatch):
         # {0} does not locate C5: vertices 1 and 4 both see just vertex 0
         def not_locating(g, **kwargs):
-            return solver.PartitionWitness(1, 0b11110, True, True)
+            return solver.PartitionWitness(1, 0b11110, True)
 
         result, records = self._sweep_patched_on_c5(
             runner, tmp_path, monkeypatch, solver, "two_locating_partition", not_locating

@@ -6,7 +6,6 @@ from locdom.graphs import new_graph, set_of
 from locdom.location import (
     _miss,
     _nibble_tables,
-    distinguishes,
     extend_to_dominating,
     is_dominating,
     is_locating,
@@ -14,7 +13,6 @@ from locdom.location import (
     representatives,
     score_table,
     separation_score,
-    trace,
     x_partition,
 )
 
@@ -22,31 +20,15 @@ from conftest import random_graphs, small_graphs
 from oracles import ref_is_dominating, ref_is_locating, ref_partition, ref_s, to_mask, to_set
 
 
-class TestTrace:
-    def test_endpoint(self, p4):
-        assert trace(p4, 0, set_of([1, 3])) == set_of([1])
-
-    def test_middle(self, p4):
-        assert trace(p4, 2, set_of([1, 3])) == set_of([1, 3])
-
-    def test_empty_probe(self, p4):
-        assert trace(p4, 2, 0) == 0
-
-
 class TestXPartition:
     def test_p4_single_probe(self, p4):
-        part = x_partition(p4, set_of([0]), set_of([1, 2, 3]))
-        assert part.classes == (set_of([1]), set_of([2, 3]))
-        assert part.traces == (set_of([0]), 0)
+        assert x_partition(p4, set_of([0]), set_of([1, 2, 3])) == (set_of([1]), set_of([2, 3]))
 
     def test_p4_two_probes(self, p4):
-        part = x_partition(p4, set_of([0, 2]), set_of([1, 3]))
-        assert part.classes == (set_of([1]), set_of([3]))
-        assert part.traces == (set_of([0, 2]), set_of([2]))
+        assert x_partition(p4, set_of([0, 2]), set_of([1, 3])) == (set_of([1]), set_of([3]))
 
     def test_empty_probe_one_class(self, c5):
-        part = x_partition(c5, 0, c5.full_set)
-        assert part.classes == (c5.full_set,)
+        assert x_partition(c5, 0, c5.full_set) == (c5.full_set,)
 
     def test_overlap_rejected(self, p4):
         with pytest.raises(DomainViolation):
@@ -60,18 +42,17 @@ class TestXPartition:
         for g in random_graphs(30, 2, 10, seed0=31):
             for x in range(0, 1 << g.n, 3):
                 y = g.complement_set(x)
-                got = [to_set(c) for c in x_partition(g, x, y).classes]
+                got = [to_set(c) for c in x_partition(g, x, y)]
                 assert got == [set(c) for c in ref_partition(g, to_set(x), to_set(y))]
 
     def test_disjoint_union_invariant(self):
         for g in random_graphs(10, 3, 8, seed0=37):
             for x in range(1 << g.n):
-                part = x_partition(g, x, g.complement_set(x))
                 union = 0
-                for c in part.classes:
+                for c in x_partition(g, x, g.complement_set(x)):
                     assert c and not (union & c)
                     union |= c
-                assert union == part.ground
+                assert union == g.complement_set(x)
 
     def test_refinement_monotone(self):
         # adding probe vertices never merges classes
@@ -80,8 +61,8 @@ class TestXPartition:
                 for extra in range(g.n):
                     x2 = x | 1 << extra
                     y = g.complement_set(x2)
-                    p1 = {frozenset(to_set(c) & to_set(y)) for c in x_partition(g, x, g.complement_set(x)).classes}
-                    p2 = {frozenset(to_set(c)) for c in x_partition(g, x2, y).classes}
+                    p1 = {frozenset(to_set(c) & to_set(y)) for c in x_partition(g, x, g.complement_set(x))}
+                    p2 = {frozenset(to_set(c)) for c in x_partition(g, x2, y)}
                     for cls in p2 - {frozenset()}:
                         assert any(cls <= big for big in p1)
 
@@ -107,21 +88,6 @@ class TestSeparationScore:
             assert list(score_table(g)) == [ref_s(g, to_set(a)) for a in range(1 << g.n)]
 
 
-class TestDistinguishes:
-    def test_one_edge(self, p4):
-        assert distinguishes(p4, 0, 1, 3)
-
-    def test_both_edges(self, p4):
-        assert not distinguishes(p4, 1, 0, 2)
-
-    def test_neither_edge(self, p4):
-        assert not distinguishes(p4, 0, 2, 3)
-
-    def test_precondition(self, p4):
-        with pytest.raises(DomainViolation):
-            distinguishes(p4, 0, 0, 1)
-
-
 class TestPredicates:
     def test_locating_examples(self, p4, k1):
         assert is_locating(p4, set_of([0, 3]))
@@ -142,8 +108,7 @@ class TestPredicates:
         for g in random_graphs(20, 1, 9, seed0=47):
             for x in range(1 << g.n):
                 comp = g.complement_set(x)
-                part = x_partition(g, x, comp)
-                assert is_locating(g, x) == (len(part.classes) == comp.bit_count())
+                assert is_locating(g, x) == (len(x_partition(g, x, comp)) == comp.bit_count())
 
     def test_matches_reference(self):
         for g in random_graphs(20, 1, 9, seed0=53):
@@ -199,7 +164,7 @@ class TestRepresentatives:
             for x in range(0, 1 << g.n, 7):
                 part = x_partition(g, x, g.complement_set(x))
                 chosen = representatives(part)
-                for c in part.classes:
+                for c in part:
                     assert (chosen & c).bit_count() == 1
 
 

@@ -12,6 +12,7 @@ from locdom.location import (
     is_locating,
     is_locating_dominating,
     miss_planes,
+    score_table,
     separation_score,
 )
 from locdom.solver import (
@@ -109,12 +110,43 @@ class TestTwoLocatingPartition:
         assert w.found and w.x == set_of([0]) and w.y == 0
 
     def test_twins_allowed(self, c4):
-        w = two_locating_partition(c4)
-        assert not w.twin_free  # search runs anyway, result flagged
+        # C4's opposite vertices are open twins; the search runs anyway
+        assert two_locating_partition(c4) == PartitionWitness(set_of([0, 1]), set_of([2, 3]), True)
 
     def test_refused_scale(self):
         with pytest.raises(RefusedScale):
             two_locating_partition(generate("path", 21))
+
+
+class TestBipartitionScoreIdentity:
+    """Both sides of V = X | V - X are locating iff T[X] + T[V - X] = n, T the
+    score table: a side's score is at most the size of the other side, with
+    equality iff the side is locating."""
+
+    @staticmethod
+    def _check(g):
+        w = two_locating_partition(g)
+        assert w.found == (max_score_exact(g)[0] == g.n)
+        if w.found:
+            table, full = score_table(g), g.full_set
+            assert w.x == next(r for r in range(1, 1 << g.n, 2) if table[r] + table[full ^ r] == g.n)
+
+    def test_all_twin_free_up_to_5(self):
+        checked = 0
+        for n in range(1, 6):
+            for g in all_labeled_graphs(n):
+                if is_twin_free(g):
+                    self._check(g)
+                    checked += 1
+        assert checked > 100
+
+    def test_gnp(self):
+        checked = 0
+        for g in random_graphs(48, 7, 14, p=0.5, seed0=211):
+            if is_twin_free(g):
+                self._check(g)
+                checked += 1
+        assert checked > 10
 
 
 class TestWitnessesPinned:
@@ -144,7 +176,7 @@ class TestWitnessesPinned:
         # the 17 leaves of a star are open twins: at most one may lie
         # outside X and at most one outside Y, so no block holds a witness
         star = new_graph(18, [(0, v) for v in range(1, 18)])
-        assert two_locating_partition(star) == PartitionWitness(0, 0, False, False)
+        assert two_locating_partition(star) == PartitionWitness(0, 0, False)
 
     def test_min_ld_p18(self):
         w = min_locating_dominating(generate("path", 18), ceiling=18)
