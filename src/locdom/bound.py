@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import (
     BoundViolation,
@@ -28,10 +29,13 @@ from .errors import (
 )
 from .graphs import Graph, is_twin_free, members, splitmix64
 from .location import (
+    at_complements,
+    block_misses,
     extend_to_dominating,
     is_locating,
+    miss_planes,
     representatives,
-    score_table,
+    score_planes,
     separation_score,
     x_partition,
 )
@@ -179,42 +183,75 @@ def derive_good_set(g: Graph, a: int, s_max: int | None = None) -> int:
 def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int, int]:
     """Exhaustive maximum S of the score sum, plus a k-maximal good set.
 
-    One table T of separation scores over all 2^n subsets (score_table,
-    built block by block with bit-plane operations) gives the score sums
-    T[a] + T[V \\ a] as one integer addition: reading T's bytes in reverse
-    order is T at the complements.  S is the largest value present, found
-    from n downward since s(a) <= |V \\ a| and s(V \\ a) <= |a|.  The good
-    maximizers are the r with T[r] + T[V \\ r] = S and T[V \\ r] = |r|; they
-    are exactly the images of the maximizers under derive_good_set.  That
-    normalization maps every maximizer to a good maximizer (or raises), and
-    every good maximizer r is the image of V \\ r: the partition of r by
-    traces on V \\ r has only trivial classes, so its representatives are r
-    itself.  Among the good maximizers this returns the one with the largest
-    number k of non-trivial complement classes, ties broken by smallest bit
-    pattern.  Every non-trivial class has at least two members, so
-    k <= sum(|class| - 1) = (n - |r|) - T[r] = n - S on a good maximizer;
-    the walk over maximizers, in increasing bit pattern, stops at the first
-    good one reaching n - S (the first good one at all when S = n).
+    Read off the bit-sliced counter planes of location.score_planes, one
+    block of 2^c subsets a = h << c | x at a time, with no table of all
+    2^n scores.  V \\ a lies in block top ^ h at the complement of x, so the
+    score sums of block h are its planes plus those of block top ^ h read
+    at complements, added in ripple-carry; the sums of block top ^ h are
+    the same read at complements, so each pair of blocks is added once.  A
+    top-down bit-sliced max gives the block's largest sum and the plane of
+    its maximizers, and S is the largest over all blocks.
+
+    The good maximizers are the maximizers r with s(V \\ r) = |r|, that is
+    with V \\ r locating: the complement plane of miss_planes' located
+    groups, as in the bipartition search.  They are exactly the images of
+    the maximizers under derive_good_set.  That normalization maps every
+    maximizer to a good maximizer (or raises), and every good maximizer r
+    is the image of V \\ r: the partition of r by traces on V \\ r has only
+    trivial classes, so its representatives are r itself.  Among the good
+    maximizers this returns the one with the largest number k of
+    non-trivial complement classes, ties broken by smallest bit pattern.
+    Every non-trivial class has at least two members, so
+    k <= sum(|class| - 1) = (n - |r|) - s(r) = n - S on a good maximizer;
+    the walk over good maximizers, in increasing bit pattern, stops at the
+    first one reaching n - S (the first one at all when S = n).
     """
     if g.n > ceiling:
         raise RefusedScale(f"exact maximization refused for n={g.n} > {ceiling}")
     n = g.n
-    full = g.full_set
-    table = score_table(g)
-    sums = (int.from_bytes(table, "little") + int.from_bytes(table, "big")).to_bytes(len(table), "little")
-    best_sum = next(s for s in range(n, -1, -1) if s in sums)
+    planes = miss_planes(g)
+    c, located = planes.c, planes.located
+    top = (1 << (n - c)) - 1
+    full = (1 << (1 << c)) - 1
+    best_sum = -1
+    good = []  # (block, plane of its good maximizers) for the blocks reaching best_sum
+    for h in range(top // 2 + 1):  # the lower block of each pair; a lone block is its own partner
+        partner = top ^ h
+        counters = score_planes(planes, h)
+        other = counters if partner == h else score_planes(planes, partner)
+        sums, carry = [], 0
+        for mine, theirs in zip_longest(counters, [at_complements(p, c) for p in other], fillvalue=0):
+            half = mine ^ theirs
+            sums.append(half ^ carry)
+            carry = mine & theirs | half & carry
+        sums.append(carry)
+        value, maxima = 0, full
+        for plane in reversed(sums):
+            hit = maxima & plane
+            value <<= 1
+            if hit:
+                value |= 1
+                maxima = hit
+        if value < best_sum:
+            continue
+        if value > best_sum:
+            best_sum = value
+            good.clear()
+        good.append((h, maxima & ~at_complements(block_misses(located, partner), c)))
+        if partner != h:
+            good.append((partner, at_complements(maxima & ~block_misses(located, h), c)))
     best_good = None
     best_k = -1
-    r = sums.find(best_sum)
-    while r >= 0:
-        if table[full ^ r] == r.bit_count():
-            k = sum(1 for cls in x_partition(g, r, full ^ r) if cls.bit_count() >= 2)
+    full_set = g.full_set
+    for h, plane in sorted(good):
+        while plane and best_k < n - best_sum:
+            low = plane & -plane
+            plane ^= low
+            r = h << c | low.bit_length() - 1
+            k = sum(1 for cls in x_partition(g, r, full_set ^ r) if cls.bit_count() >= 2)
             if k > best_k:
                 best_k = k
                 best_good = r
-                if k == n - best_sum:
-                    break
-        r = sums.find(best_sum, r + 1)
     if best_good is None:
         raise Infeasible("no maximizer of the score sum is a good set")
     return best_sum, best_good

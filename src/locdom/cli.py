@@ -58,12 +58,12 @@ def _default_max_exact() -> int:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise LocdomError(f"cannot read {path}: {exc}") from None
 
 

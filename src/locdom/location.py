@@ -5,7 +5,8 @@ set Y (disjoint from X) by equal trace yields the X-partition of Y; a set X
 is locating when that partition of the complement of X has only singleton
 classes, and dominating when every outside vertex has a non-empty trace.
 The same predicates over all subsets at once are bit planes (miss_planes),
-which score_table and the solver's oracles share.
+which the separation-score planes (score_planes) and the solver's oracles
+share.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ class MissPlanes:
 @lru_cache(maxsize=1)
 def miss_planes(g: Graph) -> MissPlanes:
     """The MissPlanes of g, memoized for the last graph (a one-entry lru_cache
-    keyed by the frozen Graph): score_table and the solver's oracles, called
-    in turn on one graph as a corpus record does, build them once."""
+    keyed by the frozen Graph): the exact bound and the solver's oracles,
+    called in turn on one graph as a corpus record does, build them once."""
     c = min(g.n, BLOCK_BITS)
     tables, absent = _nibble_tables(c)
     first, rest = tables[0], tables[1:]
@@ -153,6 +154,51 @@ def block_misses(groups: tuple[tuple[int, int], ...], h: int) -> int:
     return bad
 
 
+def score_planes(planes: MissPlanes, h: int) -> list[int]:
+    """The separation scores of block h as bit-sliced counter planes.
+
+    The vertices from c up (miss_planes) are fixed to the pattern h, and the
+    2^c subsets a = h << c | x below are scored at once, each step one
+    whole-block integer operation.  Outside a, v has the trace of some
+    earlier vertex u iff a misses M_uv, so the OR of v's per-vertex planes
+    whose high part misses h marks where v is not the first of its trace
+    class; first_v is "v not in a" without those, and T[a] = sum over v of
+    first_v(a), summed in ripple-carry counters: bit x of plane j is bit j
+    of T[h << c | x].  planes is miss_planes of the graph.
+    """
+    c = planes.c
+    full = (1 << (1 << c)) - 1
+    counters: list[int] = []
+    for v, groups in enumerate(planes.per_vertex):
+        if v < c:
+            carry = planes.absent[v]
+        elif h >> (v - c) & 1:
+            continue  # v is in every a of this block
+        else:
+            carry = full
+        carry &= ~block_misses(groups, h)
+        for j, count in enumerate(counters):
+            counters[j] = count ^ carry
+            carry &= count
+            if not carry:
+                break
+        if carry:
+            counters.append(carry)
+    return counters
+
+
+# bit j of byte b moved to bit 7 - j
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def at_complements(plane: int, c: int) -> int:
+    """The 2^c-bit plane read at complements: bit x becomes bit 2^c - 1 - x."""
+    size = 1 << c
+    nbytes = (size + 7) >> 3
+    flipped = plane.to_bytes(nbytes, "little").translate(_REVERSED_BYTE)
+    return int.from_bytes(flipped, "big") >> (nbytes * 8 - size)
+
+
 # binary digits to byte values 0 and 2^j, one table per counter plane j
 _DIGIT_TO_BYTE = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 
@@ -160,43 +206,19 @@ _DIGIT_TO_BYTE = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 def score_table(g: Graph) -> bytearray:
     """separation_score of every subset, indexed by its bit pattern.
 
-    Bit-sliced over blocks: the vertices from c up (miss_planes) are fixed
-    to each pattern h in turn, and the 2^c subsets a = h << c | x below are
-    scored at once, each step one whole-block integer operation.  Outside
-    a, v has the trace of some earlier vertex u iff a misses M_uv, so the
-    OR of v's per-vertex planes whose high part misses h marks where v is
-    not the first of its trace class; first_v is "v not in a" without
-    those, and T[a] = sum over v of first_v(a).  The sum runs in bit-sliced
-    counters, each counter plane is spread to one byte per subset through
-    its binary digits, and the byte planes of a block are ORed together
-    into its slice of the preallocated table.
+    The byte spread of score_planes: each counter plane of a block is
+    spread to one byte per subset through its binary digits, and the byte
+    planes of a block are ORed together into its slice of the table.
     """
     n = g.n
     planes = miss_planes(g)
     c = planes.c
     size = 1 << c
-    full = (1 << size) - 1
     digits = f"0{size}b"
     table = bytearray(1 << n)
     for h in range(1 << (n - c)):
-        counters: list[int] = []  # counters[j] holds bit j of the running T
-        for v, groups in enumerate(planes.per_vertex):
-            if v < c:
-                carry = planes.absent[v]
-            elif h >> (v - c) & 1:
-                continue  # v is in every a of this block
-            else:
-                carry = full
-            carry &= ~block_misses(groups, h)
-            for j, count in enumerate(counters):
-                counters[j] = count ^ carry
-                carry &= count
-                if not carry:
-                    break
-            if carry:
-                counters.append(carry)
         total = 0
-        for j, count in enumerate(counters):
+        for j, count in enumerate(score_planes(planes, h)):
             # format puts bit size-1 first, so big-endian bytes put bit x at byte x
             total |= int.from_bytes(format(count, digits).encode().translate(_DIGIT_TO_BYTE[j]), "big")
         table[h << c : (h + 1) << c] = total.to_bytes(size, "little")

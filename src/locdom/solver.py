@@ -4,7 +4,7 @@ Everything here is exhaustive search: minimum locating and
 locating-dominating sets by increasing cardinality, the two-locating-sets
 bipartition search, and the maximum summed separation score over
 k-partitions.  The first three read the same subset planes as the bound's
-location.score_table (location.miss_planes), so they do not check that
+location.score_planes (location.miss_planes), so they do not check that
 kernel; what checks both is the CLI's set-based re-verification of every
 locating and locating-dominating witness (is_locating,
 is_locating_dominating) and the references in the tests.
@@ -34,7 +34,7 @@ from typing import Iterable
 
 from .errors import InvalidParameter, RefusedScale
 from .graphs import Graph
-from .location import BLOCK_BITS, block_misses, miss_planes, score_table
+from .location import BLOCK_BITS, at_complements, block_misses, miss_planes, score_table
 
 MIN_SET_CEILING = 16
 PARTITION2_CEILING = 20
@@ -59,18 +59,6 @@ class SkResult:
     k: int
     value: int
     witness_partition: tuple[int, ...]
-
-
-# bit j of byte b moved to bit 7 - j
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _at_complements(plane: int, c: int) -> int:
-    """The 2^c-bit plane read at complements: bit x becomes bit 2^c - 1 - x."""
-    size = 1 << c
-    nbytes = (size + 7) >> 3
-    flipped = plane.to_bytes(nbytes, "little").translate(_REVERSED_BYTE)
-    return int.from_bytes(flipped, "big") >> (nbytes * 8 - size)
 
 
 def _size_planes(n: int) -> list[int]:
@@ -155,7 +143,7 @@ def two_locating_partition(g: Graph, ceiling: int = PARTITION2_CEILING) -> Parti
     high_part = (1 << (g.n - c)) - 1
     for h in range(high_part + 1):
         # V - x is the complement of h above c and of x's low part below it
-        comp_bad = _at_complements(block_misses(groups, high_part ^ h), c)
+        comp_bad = at_complements(block_misses(groups, high_part ^ h), c)
         good = pinned & ~block_misses(groups, h) & ~comp_bad
         if good:
             x = h << c | (good & -good).bit_length() - 1

@@ -1,6 +1,8 @@
 import hashlib
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
 
 from locdom.bound import (
     build_z,
@@ -24,14 +26,32 @@ from locdom.errors import (
     TwinsPresent,
 )
 from locdom.graphs import all_labeled_graphs, decode_graph6, generate, is_twin_free, new_graph, set_of
-from locdom.location import is_locating, is_locating_dominating, score_table, x_partition
+from locdom.location import (
+    _nibble_tables,
+    is_locating,
+    is_locating_dominating,
+    miss_planes,
+    score_table,
+    x_partition,
+)
 
-from conftest import random_graphs
+from conftest import random_graphs, small_graphs
 from oracles import ref_max_score, ref_score_sum, to_set
 
 # good sets with two non-trivial complement classes (graphs have twins, which
 # the decomposition itself permits; only the full bound pipeline forbids them)
 K2_DECOMPOSITIONS = [("Eo??", set_of([0, 3])), ("Eg??", set_of([1, 3]))]
+
+
+def best_normalized_maximizer(g, s):
+    """Reference good set: normalize every maximizer of the score sum, then
+    keep the largest k and, among those, the smallest bit pattern."""
+
+    def k_of(r):
+        return sum(cls.bit_count() >= 2 for cls in x_partition(g, r, g.complement_set(r)))
+
+    images = {derive_good_set(g, a, s_max=s) for a in range(1 << g.n) if ref_score_sum(g, to_set(a)) == s}
+    return min(images, key=lambda r: (-k_of(r), r))
 
 
 class TestScoreSum:
@@ -164,28 +184,69 @@ class TestMaxScoreExact:
         assert hashlib.sha256(score_table(g)).hexdigest() == digest
         assert max_score_exact(g) == best
 
-    def test_good_set_is_best_normalized_maximizer(self):
-        # reference: normalize every maximizer, then keep the largest k and,
-        # among those, the smallest bit pattern
-        def k_of(g, r):
-            return sum(cls.bit_count() >= 2 for cls in x_partition(g, r, g.complement_set(r)))
+    # above EXACT_CEILING_DEFAULT, for a later raise of it; recorded from
+    # the table-based maximization at ceiling=22 (n <= 22) and ceiling=24
+    ABOVE_CEILING = {
+        ("cycle", 21): (21, 169125),
+        ("cycle", 23): (23, 676501),
+        ("gnp", 21): (21, 8255),
+        ("gnp", 22): (22, 223),
+        ("gnp", 23): (23, 239),
+        ("gnp", 24): (24, 1119),
+        ("path", 22): (22, 676501),
+        ("path", 24): (24, 2706003),
+    }
 
+    @pytest.mark.parametrize("kind,n", sorted(ABOVE_CEILING))
+    def test_above_ceiling_pinned(self, kind, n):
+        g = generate(kind, n, 0.3, 1) if kind == "gnp" else generate(kind, n)
+        assert max_score_exact(g, ceiling=24) == self.ABOVE_CEILING[kind, n]
+
+    # n = 17 splits the subsets into two blocks, and these good sets hold
+    # vertex 16, so they come from the upper block, read through the
+    # complements of the lower one; recorded from the table-based maximization
+    UPPER_BLOCK = {12: (12, 65927), 45: (14, 66342), 63: (11, 82690), 79: (14, 70279)}
+
+    @pytest.mark.parametrize("seed", sorted(UPPER_BLOCK))
+    def test_good_set_in_upper_block(self, seed):
+        assert max_score_exact(generate("gnp", 17, 0.1, seed)) == self.UPPER_BLOCK[seed]
+
+    def test_peak_memory(self):
+        # cold, so the memo and the nibble tables built in the call count too
+        # (about 1.5 MiB); score sums over the whole table would take several
+        # 2^n-byte objects, 1 MiB each at n = 20
+        g = generate("gnp", 20, 0.3, 1)
+        miss_planes.cache_clear()
+        _nibble_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            best = max_score_exact(g, ceiling=22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert best == (20, 415)
+        assert peak < 3 << 20
+
+    def test_good_set_is_best_normalized_maximizer(self):
         # all graphs with n <= 5, twins included: 184 of them have S < n,
         # where the walk over maximizers stops early only at k = n - S > 0
         small = [g for n in range(6) for g in all_labeled_graphs(n)]
         for g in small + random_graphs(12, 6, 9, seed0=139):
             s, best = max_score_exact(g)
-            images = {
-                derive_good_set(g, a, s_max=s)
-                for a in range(1 << g.n)
-                if ref_score_sum(g, to_set(a)) == s
-            }
-            assert best == min(images, key=lambda r: (-k_of(g, r), r))
+            assert best == best_normalized_maximizer(g, s)
 
     def test_refused_scale(self):
         g = random_graphs(1, 21, 21, p=0.1, seed0=101)[0]
         with pytest.raises(RefusedScale):
             max_score_exact(g)
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_graphs())
+def test_max_score_exact_property(g):
+    s, best = max_score_exact(g)
+    assert s == ref_max_score(g)
+    assert best == best_normalized_maximizer(g, s)
 
 
 class TestDeriveGoodSet:

@@ -133,6 +133,16 @@ class TestInputErrors:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot read /no/such/file: ")
 
+    @pytest.mark.parametrize("command", ["bound", "corpus"])
+    def test_non_ascii_file(self, runner, tmp_path, command):
+        path = tmp_path / "g.g6"
+        path.write_bytes(b"C\xff\n")
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {path}: ")
+
     def test_bad_graph6_on_stdin(self, runner):
         result = runner.invoke(main, ["bound", "-"], input="bad!\n")
         assert result.exit_code == EXIT_PARSE
