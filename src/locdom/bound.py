@@ -32,15 +32,17 @@ from .location import (
     at_complements,
     block_misses,
     extend_to_dominating,
+    first_split,
     is_locating,
     miss_planes,
     representatives,
     score_planes,
     separation_score,
+    vertex_planes,
     x_partition,
 )
 
-EXACT_CEILING_DEFAULT = 20
+EXACT_CEILING_DEFAULT = 24
 
 CANDIDATE_TAGS = ("eq1", "eq2", "eq3", "eq4")
 
@@ -183,6 +185,26 @@ def derive_good_set(g: Graph, a: int, s_max: int | None = None) -> int:
 def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int, int]:
     """Exhaustive maximum S of the score sum, plus a k-maximal good set.
 
+    A side's score is at most the size of the other side, with equality iff
+    the side is locating, so S <= n, with equality iff V splits into two
+    locating sets.  The good maximizers are the maximizers r with
+    s(V \\ r) = |r|, that is with V \\ r locating; when S = n they are the
+    r with both r and V \\ r locating, every one has k = 0 non-trivial
+    complement classes, and the one returned is the first in bit order:
+    location.first_split, which stops at it.  Only when no split exists are
+    the score sums of all 2^n subsets read (_max_score_full).
+    """
+    if g.n > ceiling:
+        raise RefusedScale(f"exact maximization refused for n={g.n} > {ceiling}")
+    r = first_split(g, pinned=False)
+    if r is not None:
+        return g.n, r
+    return _max_score_full(g)
+
+
+def _max_score_full(g: Graph) -> tuple[int, int]:
+    """max_score_exact off the score sums of all 2^n subsets, for any S.
+
     Read off the bit-sliced counter planes of location.score_planes, one
     block of 2^c subsets a = h << c | x at a time, with no table of all
     2^n scores.  V \\ a lies in block top ^ h at the complement of x, so the
@@ -192,13 +214,13 @@ def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int
     top-down bit-sliced max gives the block's largest sum and the plane of
     its maximizers, and S is the largest over all blocks.
 
-    The good maximizers are the maximizers r with s(V \\ r) = |r|, that is
-    with V \\ r locating: the complement plane of miss_planes' located
-    groups, as in the bipartition search.  They are exactly the images of
-    the maximizers under derive_good_set.  That normalization maps every
-    maximizer to a good maximizer (or raises), and every good maximizer r
-    is the image of V \\ r: the partition of r by traces on V \\ r has only
-    trivial classes, so its representatives are r itself.  Among the good
+    The good maximizers are the maximizers r with V \\ r locating: the
+    complement plane of miss_planes' located groups, as in the split
+    search.  They are exactly the images of the maximizers under
+    derive_good_set.  That normalization maps every maximizer to a good
+    maximizer (or raises), and every good maximizer r is the image of
+    V \\ r: the partition of r by traces on V \\ r has only trivial
+    classes, so its representatives are r itself.  Among the good
     maximizers this returns the one with the largest number k of
     non-trivial complement classes, ties broken by smallest bit pattern.
     Every non-trivial class has at least two members, so
@@ -206,10 +228,8 @@ def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int
     the walk over good maximizers, in increasing bit pattern, stops at the
     first one reaching n - S (the first one at all when S = n).
     """
-    if g.n > ceiling:
-        raise RefusedScale(f"exact maximization refused for n={g.n} > {ceiling}")
     n = g.n
-    planes = miss_planes(g)
+    planes, per_vertex = miss_planes(g), vertex_planes(g)
     c, located = planes.c, planes.located
     top = (1 << (n - c)) - 1
     full = (1 << (1 << c)) - 1
@@ -217,8 +237,8 @@ def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int
     good = []  # (block, plane of its good maximizers) for the blocks reaching best_sum
     for h in range(top // 2 + 1):  # the lower block of each pair; a lone block is its own partner
         partner = top ^ h
-        counters = score_planes(planes, h)
-        other = counters if partner == h else score_planes(planes, partner)
+        counters = score_planes(planes, per_vertex, h)
+        other = counters if partner == h else score_planes(planes, per_vertex, partner)
         sums, carry = [], 0
         for mine, theirs in zip_longest(counters, [at_complements(p, c) for p in other], fillvalue=0):
             half = mine ^ theirs

@@ -354,7 +354,7 @@ def _twin_free_fields(g: graphs.Graph, opt: dict, record: dict) -> None:
     if g.n <= opt["solve_ceiling"]:
         l_opt = solver.min_locating(g, ceiling=opt["solve_ceiling"])
         ld_opt = solver.min_locating_dominating(g, ceiling=opt["solve_ceiling"])
-        # the oracles share their planes with the bound's score table, so the
+        # the oracles share their planes with the bound's split search, so the
         # set-based check is what keeps them from vouching for each other
         _reverify(g, l_opt.witness, ld_opt.witness)
         record["l_exact"] = l_opt.size

@@ -4,13 +4,15 @@ The trace of a vertex v with respect to a set X is N(v) & X.  Partitioning a
 set Y (disjoint from X) by equal trace yields the X-partition of Y; a set X
 is locating when that partition of the complement of X has only singleton
 classes, and dominating when every outside vertex has a non-empty trace.
-The same predicates over all subsets at once are bit planes (miss_planes),
-which the separation-score planes (score_planes) and the solver's oracles
-share.
+The same predicates over all subsets at once are bit planes: miss_planes,
+which the search for a split into two locating sets (first_split) and the
+solver's oracles share, and vertex_planes, the same planes split by vertex,
+which the separation-score planes (score_planes) read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -96,35 +98,29 @@ class MissPlanes:
     a pattern h, a = h << c | x misses a set M iff the high part H = M >> c
     misses h and x misses the low part of M.  So each grouping below is a
     tuple of pairs (H, plane), the plane being the OR of "x misses the low
-    part of M" over its sets M with that high part: per_vertex[v] over the
-    M_uv with u < v; located over all M_uv, so its planes at h (block_misses)
-    mark the x for which h << c | x is not locating; dominated over the M_uv
-    and every N[v], so they mark where it is not locating-dominating.
-    absent[w] is "w not in x".  Tuples, as every caller of the memo shares
-    them.
+    part of M" over its sets M with that high part: located over all M_uv,
+    so its planes at h (block_misses) mark the x for which h << c | x is not
+    locating; dominated over the M_uv and every N[v], so they mark where it
+    is not locating-dominating.  absent[w] is "w not in x".  Tuples, as
+    every caller of the memo shares them.  The same planes split by v are
+    vertex_planes, which only the score planes read.
     """
 
     c: int
     absent: tuple[int, ...]
-    per_vertex: tuple[tuple[tuple[int, int], ...], ...]
     located: tuple[tuple[int, int], ...]
     dominated: tuple[tuple[int, int], ...]
 
 
-@lru_cache(maxsize=1)
-def miss_planes(g: Graph) -> MissPlanes:
-    """The MissPlanes of g, memoized for the last graph (a one-entry lru_cache
-    keyed by the frozen Graph): the exact bound and the solver's oracles,
-    called in turn on one graph as a corpus record does, build them once."""
-    c = min(g.n, BLOCK_BITS)
-    tables, absent = _nibble_tables(c)
+def _or_pair_planes(g: Graph, c: int, groups_of: Callable[[int], dict[int, int]]) -> None:
+    """OR the plane "x misses the low part of M_uv" of every pair u < v
+    into groups_of(v)[M_uv >> c], a dict from high parts to planes."""
+    tables, _ = _nibble_tables(c)
     first, rest = tables[0], tables[1:]
     low_part = (1 << c) - 1
     adj = g.adj
-    per_vertex = []
-    located: dict[int, int] = {}
     for v, row in enumerate(adj):
-        groups: dict[int, int] = {}
+        groups = groups_of(v)
         for u in range(v):
             m = adj[u] ^ row | 1 << u | 1 << v
             high = m >> c
@@ -134,14 +130,37 @@ def miss_planes(g: Graph) -> MissPlanes:
                 m >>= 4
                 plane &= table[m & 15]
             groups[high] = groups.get(high, 0) | plane
-        for high, plane in groups.items():
-            located[high] = located.get(high, 0) | plane
-        per_vertex.append(tuple(groups.items()))
+
+
+@lru_cache(maxsize=1)
+def miss_planes(g: Graph) -> MissPlanes:
+    """The MissPlanes of g, memoized for the last graph (a one-entry lru_cache
+    keyed by the frozen Graph): the exact bound's split search and the
+    solver's oracles, called in turn on one graph as a corpus record does,
+    build them once.  It holds one plane per high part in each grouping,
+    not one per vertex."""
+    c = min(g.n, BLOCK_BITS)
+    tables, absent = _nibble_tables(c)
+    low_part = (1 << c) - 1
+    located: dict[int, int] = {}
+    _or_pair_planes(g, c, lambda v: located)
     dominated = dict(located)
-    for v, row in enumerate(adj):
+    for v, row in enumerate(g.adj):
         m = row | 1 << v
         dominated[m >> c] = dominated.get(m >> c, 0) | _miss(tables, m & low_part)
-    return MissPlanes(c, absent, tuple(per_vertex), tuple(located.items()), tuple(dominated.items()))
+    return MissPlanes(c, absent, tuple(located.items()), tuple(dominated.items()))
+
+
+def vertex_planes(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """miss_planes' located planes split by vertex, built per call, not memoized.
+
+    Entry v groups the pairs u < v by high part as MissPlanes does: its
+    planes at h mark the x for which v, outside h << c | x, has the trace
+    of some earlier vertex.  score_planes reads them.
+    """
+    groups: list[dict[int, int]] = [{} for _ in range(g.n)]
+    _or_pair_planes(g, min(g.n, BLOCK_BITS), groups.__getitem__)
+    return tuple(tuple(d.items()) for d in groups)
 
 
 def block_misses(groups: tuple[tuple[int, int], ...], h: int) -> int:
@@ -154,7 +173,9 @@ def block_misses(groups: tuple[tuple[int, int], ...], h: int) -> int:
     return bad
 
 
-def score_planes(planes: MissPlanes, h: int) -> list[int]:
+def score_planes(
+    planes: MissPlanes, per_vertex: tuple[tuple[tuple[int, int], ...], ...], h: int
+) -> list[int]:
     """The separation scores of block h as bit-sliced counter planes.
 
     The vertices from c up (miss_planes) are fixed to the pattern h, and the
@@ -164,12 +185,13 @@ def score_planes(planes: MissPlanes, h: int) -> list[int]:
     whose high part misses h marks where v is not the first of its trace
     class; first_v is "v not in a" without those, and T[a] = sum over v of
     first_v(a), summed in ripple-carry counters: bit x of plane j is bit j
-    of T[h << c | x].  planes is miss_planes of the graph.
+    of T[h << c | x].  planes is miss_planes of the graph and per_vertex
+    its vertex_planes, which the caller builds once for all its blocks.
     """
     c = planes.c
     full = (1 << (1 << c)) - 1
     counters: list[int] = []
-    for v, groups in enumerate(planes.per_vertex):
+    for v, groups in enumerate(per_vertex):
         if v < c:
             carry = planes.absent[v]
         elif h >> (v - c) & 1:
@@ -199,6 +221,31 @@ def at_complements(plane: int, c: int) -> int:
     return int.from_bytes(flipped, "big") >> (nbytes * 8 - size)
 
 
+def first_split(g: Graph, pinned: bool) -> int | None:
+    """The first x in bit order with both x and V \\ x locating, or None.
+
+    The blocks h << c | x are scanned upward: ~block_misses of the located
+    planes at h marks the locating x, and the complement of x in V lies in
+    block top ^ h at the complement of x, so the same at top ^ h read at
+    complements marks the x whose complement is locating.  A block with no
+    locating x skips the complement plane.  With pinned, only the x that
+    hold vertex 0 count (n >= 1).
+    """
+    planes = miss_planes(g)
+    c, located = planes.c, planes.located
+    top = (1 << (g.n - c)) - 1
+    keep = (1 << (1 << c)) - 1
+    if pinned:
+        keep ^= planes.absent[0]
+    for h in range(top + 1):
+        good = keep & ~block_misses(located, h)
+        if good:
+            good &= ~at_complements(block_misses(located, top ^ h), c)
+            if good:
+                return h << c | (good & -good).bit_length() - 1
+    return None
+
+
 # binary digits to byte values 0 and 2^j, one table per counter plane j
 _DIGIT_TO_BYTE = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 
@@ -211,14 +258,14 @@ def score_table(g: Graph) -> bytearray:
     planes of a block are ORed together into its slice of the table.
     """
     n = g.n
-    planes = miss_planes(g)
+    planes, per_vertex = miss_planes(g), vertex_planes(g)
     c = planes.c
     size = 1 << c
     digits = f"0{size}b"
     table = bytearray(1 << n)
     for h in range(1 << (n - c)):
         total = 0
-        for j, count in enumerate(score_planes(planes, h)):
+        for j, count in enumerate(score_planes(planes, per_vertex, h)):
             # format puts bit size-1 first, so big-endian bytes put bit x at byte x
             total |= int.from_bytes(format(count, digits).encode().translate(_DIGIT_TO_BYTE[j]), "big")
         table[h << c : (h + 1) << c] = total.to_bytes(size, "little")

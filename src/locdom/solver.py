@@ -4,10 +4,12 @@ Everything here is exhaustive search: minimum locating and
 locating-dominating sets by increasing cardinality, the two-locating-sets
 bipartition search, and the maximum summed separation score over
 k-partitions.  The first three read the same subset planes as the bound's
-location.score_planes (location.miss_planes), so they do not check that
-kernel; what checks both is the CLI's set-based re-verification of every
-locating and locating-dominating witness (is_locating,
-is_locating_dominating) and the references in the tests.
+exact maximization (location.miss_planes), and the bipartition search is
+the bound's split search itself (location.first_split, with vertex 0
+pinned), so they do not check that kernel; what checks both is the CLI's
+set-based re-verification of every locating and locating-dominating
+witness (is_locating, is_locating_dominating) and the references in the
+tests.
 
 The planes: a predicate over the subsets x of the c = min(n, 16) lowest
 vertices is one 2^c-bit int whose bit x is its value at x.  All three fix
@@ -34,7 +36,7 @@ from typing import Iterable
 
 from .errors import InvalidParameter, RefusedScale
 from .graphs import Graph
-from .location import BLOCK_BITS, at_complements, block_misses, miss_planes, score_table
+from .location import BLOCK_BITS, block_misses, first_split, miss_planes, score_table
 
 MIN_SET_CEILING = 16
 PARTITION2_CEILING = 20
@@ -129,26 +131,17 @@ def two_locating_partition(g: Graph, ceiling: int = PARTITION2_CEILING) -> Parti
 
     Vertex 0 is pinned to X to halve the space; the first witness in
     increasing order of X's bit pattern is returned.  Twins are permitted.
-    The vertices from BLOCK_BITS up are fixed to each high pattern h in
-    turn, and the block of 2^BLOCK_BITS choices below them is tested as one
-    plane.
+    location.first_split does the search, a block of 2^BLOCK_BITS choices
+    of X at a time.
     """
     if g.n > ceiling:
         raise RefusedScale(f"bipartition search refused for n={g.n} > {ceiling}")
     if g.n == 0:
         return PartitionWitness(0, 0, True)
-    planes = miss_planes(g)
-    c, groups = planes.c, planes.located
-    pinned = ((1 << (1 << c)) - 1) ^ planes.absent[0]
-    high_part = (1 << (g.n - c)) - 1
-    for h in range(high_part + 1):
-        # V - x is the complement of h above c and of x's low part below it
-        comp_bad = at_complements(block_misses(groups, high_part ^ h), c)
-        good = pinned & ~block_misses(groups, h) & ~comp_bad
-        if good:
-            x = h << c | (good & -good).bit_length() - 1
-            return PartitionWitness(x, g.full_set ^ x, True)
-    return PartitionWitness(0, 0, False)
+    x = first_split(g, pinned=True)
+    if x is None:
+        return PartitionWitness(0, 0, False)
+    return PartitionWitness(x, g.full_set ^ x, True)
 
 
 # the value of a k-partition that no set of blocks can reach; every sum

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from locdom.bound import (
+    _max_score_full,
     build_z,
     candidate_sets,
     construct_ld,
@@ -20,6 +21,7 @@ from locdom.bound import (
 )
 from locdom.errors import (
     DomainViolation,
+    LocdomError,
     NotGood,
     NotMaximal,
     RefusedScale,
@@ -184,8 +186,9 @@ class TestMaxScoreExact:
         assert hashlib.sha256(score_table(g)).hexdigest() == digest
         assert max_score_exact(g) == best
 
-    # above EXACT_CEILING_DEFAULT, for a later raise of it; recorded from
-    # the table-based maximization at ceiling=22 (n <= 22) and ceiling=24
+    # n = 21-24, above the exact ceiling of 20 it had when these were
+    # recorded from the table-based maximization at ceiling=22 (n <= 22)
+    # and ceiling=24; now they run at the default ceiling
     ABOVE_CEILING = {
         ("cycle", 21): (21, 169125),
         ("cycle", 23): (23, 676501),
@@ -200,7 +203,7 @@ class TestMaxScoreExact:
     @pytest.mark.parametrize("kind,n", sorted(ABOVE_CEILING))
     def test_above_ceiling_pinned(self, kind, n):
         g = generate(kind, n, 0.3, 1) if kind == "gnp" else generate(kind, n)
-        assert max_score_exact(g, ceiling=24) == self.ABOVE_CEILING[kind, n]
+        assert max_score_exact(g) == self.ABOVE_CEILING[kind, n]
 
     # n = 17 splits the subsets into two blocks, and these good sets hold
     # vertex 16, so they come from the upper block, read through the
@@ -213,7 +216,7 @@ class TestMaxScoreExact:
 
     def test_peak_memory(self):
         # cold, so the memo and the nibble tables built in the call count too
-        # (about 1.5 MiB); score sums over the whole table would take several
+        # (about 0.7 MiB); score sums over the whole table would take several
         # 2^n-byte objects, 1 MiB each at n = 20
         g = generate("gnp", 20, 0.3, 1)
         miss_planes.cache_clear()
@@ -221,6 +224,22 @@ class TestMaxScoreExact:
         tracemalloc.start()
         try:
             best = max_score_exact(g, ceiling=22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert best == (20, 415)
+        assert peak < 3 << 20
+
+    def test_full_sums_peak_memory(self):
+        # gnp n = 20 leaves max_score_exact through its first split, so the
+        # full sums, with the per-vertex planes they build per call, are
+        # measured here under the same bound
+        g = generate("gnp", 20, 0.3, 1)
+        miss_planes.cache_clear()
+        _nibble_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            best = _max_score_full(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,8 +254,25 @@ class TestMaxScoreExact:
             s, best = max_score_exact(g)
             assert best == best_normalized_maximizer(g, s)
 
+    def test_split_exit_matches_full_sums(self):
+        # max_score_exact leaves through the first split whenever S = n; the
+        # score sums over all subsets must give the same S and good set, or
+        # raise the same error: every twin-free labeled graph with n = 6,
+        # gnp graphs with n = 7-20 and P_n and C_n with n <= 20
+        def outcome(maximize, g):
+            try:
+                return maximize(g)
+            except LocdomError as exc:
+                return type(exc)
+
+        family = [g for g in all_labeled_graphs(6) if is_twin_free(g)]
+        family += random_graphs(42, 7, 20, p=0.3, seed0=151)
+        family += [generate(kind, n) for kind in ("path", "cycle") for n in range(1, 21)]
+        for g in family:
+            assert outcome(max_score_exact, g) == outcome(_max_score_full, g)
+
     def test_refused_scale(self):
-        g = random_graphs(1, 21, 21, p=0.1, seed0=101)[0]
+        g = random_graphs(1, 25, 25, p=0.1, seed0=101)[0]
         with pytest.raises(RefusedScale):
             max_score_exact(g)
 

@@ -72,6 +72,16 @@ class TestBound:
         result = runner.invoke(main, ["bound", "-"], input="Ch\n")
         assert result.exit_code == EXIT_SCALE
 
+    def test_default_ceiling_certifies_n24(self, runner, monkeypatch):
+        # gen path 24 | bound -, at the default exact ceiling
+        monkeypatch.delenv("LOCDOM_MAX_EXACT", raising=False)
+        p24 = runner.invoke(main, ["gen", "path", "24"]).stdout
+        result = runner.invoke(main, ["bound", "-"], input=p24)
+        assert result.exit_code == 0, result.output
+        rec = json.loads(result.stdout)
+        assert rec["certified"] is True and rec["mode"] == "exact"
+        assert rec["l_upper"] == 10
+
     def test_bad_max_exact_env(self, runner, monkeypatch):
         monkeypatch.setenv("LOCDOM_MAX_EXACT", "x")
         result = runner.invoke(main, ["bound", "-"], input="Ch\n")
@@ -348,7 +358,7 @@ class TestCorpus:
         assert [json.loads(line)["graph_id"] for line in out.read_text().splitlines()] == ["Ch", "Dhc"]
 
     def test_record_builds_planes_once(self):
-        # the bound's score table and the three oracles share one build
+        # the bound's split search and the three oracles share one build
         location.miss_planes.cache_clear()
         record = {}
         _twin_free_fields(generate("cycle", 7), {"max_exact": 20, "solve_ceiling": 16, "q1": True}, record)

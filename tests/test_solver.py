@@ -9,6 +9,7 @@ from locdom.bound import max_score_exact
 from locdom.errors import InvalidParameter, RefusedScale
 from locdom.graphs import all_labeled_graphs, generate, is_twin_free, new_graph, set_of
 from locdom.location import (
+    _nibble_tables,
     is_locating,
     is_locating_dominating,
     miss_planes,
@@ -92,7 +93,7 @@ class TestMinSets:
         hits = miss_planes.cache_info().hits
         planes = miss_planes(g)
         assert miss_planes.cache_info().hits == hits + 1
-        groupings = (planes.located, planes.dominated, *planes.per_vertex)
+        groupings = (planes.located, planes.dominated)
         memo = [*planes.absent, *(p for groups in groupings for _, p in groups)]
         assert max(p.bit_length() for p in memo) <= 1 << 16
 
@@ -116,6 +117,21 @@ class TestTwoLocatingPartition:
     def test_refused_scale(self):
         with pytest.raises(RefusedScale):
             two_locating_partition(generate("path", 21))
+
+    def test_memo_retains_little(self):
+        # cold, so what the memo and the nibble tables keep after the call
+        # counts; the c = 16 nibble tables alone are about 0.5 MiB
+        g = generate("gnp", 20, 0.3, 1)
+        miss_planes.cache_clear()
+        _nibble_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            w = two_locating_partition(g)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert w.found
+        assert retained < 1 << 20
 
 
 class TestBipartitionScoreIdentity:
