@@ -9,7 +9,6 @@ from .bound import (
     build_z,
     candidate_sets,
     construct_ld,
-    construct_locating,
     decompose,
     derive_good_set,
     ld_size_limit,

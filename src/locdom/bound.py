@@ -13,7 +13,6 @@ ceil(5n/8).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -95,23 +94,20 @@ class Candidate:
 class BoundReport:
     """Outcome of a bound construction run."""
 
-    n: int
     candidates: tuple[Candidate, ...]
     witness: int
     mode: str
     certified: bool
     s_value: int
     k: int
-    ld_witness: int | None = None
+    ld_witness: int
 
     @property
     def witness_size(self) -> int:
         return self.witness.bit_count()
 
     @property
-    def ld_witness_size(self) -> int | None:
-        if self.ld_witness is None:
-            return None
+    def ld_witness_size(self) -> int:
         return self.ld_witness.bit_count()
 
 
@@ -409,62 +405,49 @@ def ld_size_limit(n: int) -> int:
     return -(-5 * n // 8)  # ceil(5n/8)
 
 
-def construct_locating(
-    g: Graph,
-    mode: str = "exact",
-    max_exact: int = EXACT_CEILING_DEFAULT,
-    rng_seed: int = 0x5EED,
-) -> BoundReport:
-    """Build a locating set witnessing the 5n/8-style bound.
-
-    Exact mode runs the full pipeline off the true maximum S and certifies
-    |witness| <= floor((5n-1)/8).  Heuristic mode runs greedy thinning from
-    the empty set and from a seeded random set, reports the best verified
-    candidate, and never certifies.
-    """
-    if mode not in ("exact", "heuristic"):
-        raise DomainViolation(f"unknown mode {mode!r}")
-    if g.n == 0:
-        return BoundReport(0, (), 0, mode, mode == "exact", 0, 0)
-    if not is_twin_free(g):
-        raise TwinsPresent("graph has twin vertices; the bound does not apply")
-    if mode == "exact":
-        s_value, good = max_score_exact(g, ceiling=max_exact)
-        d = decompose(g, good, s_max=s_value)
-        cands = candidate_sets(g, d, strict=True)
-        witness = _pick_witness(cands)
-        if witness.bit_count() > locating_size_limit(g.n):
-            raise BoundViolation(
-                f"certified witness of size {witness.bit_count()} exceeds "
-                f"{locating_size_limit(g.n)} for n={g.n}"
-            )
-        return BoundReport(g.n, cands, witness, "exact", True, s_value, d.k)
-    best: BoundReport | None = None
-    for a0 in (0, _random_subset(g.n, rng_seed)):
-        scored = local_search(g, a0)
-        good = derive_good_set(g, scored.a)
-        d = decompose(g, good)
-        cands = candidate_sets(g, d, strict=False)
-        witness = _pick_witness(cands)
-        report = BoundReport(g.n, cands, witness, "heuristic", False, d.s_value, d.k)
-        if best is None or report.witness_size < best.witness_size:
-            best = report
-    return best
-
-
 def construct_ld(
     g: Graph,
     mode: str = "exact",
     max_exact: int = EXACT_CEILING_DEFAULT,
     rng_seed: int = 0x5EED,
 ) -> BoundReport:
-    """construct_locating plus the at-most-one-vertex domination fix-up."""
-    report = construct_locating(g, mode, max_exact, rng_seed)
+    """Build a locating set witnessing the 5n/8-style bound, then make it dominating.
+
+    Exact mode runs the full pipeline off the true maximum S and certifies
+    |witness| <= floor((5n-1)/8).  Heuristic mode runs greedy thinning from
+    the empty set and from a seeded random set, keeps the best verified
+    candidate, and never certifies.  Either way the locating witness gains
+    at most one vertex to become locating-dominating, which a certified run
+    checks against ceil(5n/8).
+    """
+    if mode not in ("exact", "heuristic"):
+        raise DomainViolation(f"unknown mode {mode!r}")
+    certified = mode == "exact"
     if g.n == 0:
-        return dataclasses.replace(report, ld_witness=0)
-    ld = extend_to_dominating(g, report.witness)
-    if report.certified and ld.bit_count() > ld_size_limit(g.n):
+        return BoundReport((), 0, mode, certified, 0, 0, 0)
+    if not is_twin_free(g):
+        raise TwinsPresent("graph has twin vertices; the bound does not apply")
+    if certified:
+        s_value, good = max_score_exact(g, ceiling=max_exact)
+        runs = [decompose(g, good, s_max=s_value)]
+    else:
+        starts = (0, _random_subset(g.n, rng_seed))
+        runs = (decompose(g, derive_good_set(g, local_search(g, a0).a)) for a0 in starts)
+    best = None
+    for d in runs:
+        cands = candidate_sets(g, d, strict=certified)
+        witness = _pick_witness(cands)
+        if best is None or witness.bit_count() < best[2].bit_count():
+            best = d, cands, witness
+    d, cands, witness = best
+    if certified and witness.bit_count() > locating_size_limit(g.n):
+        raise BoundViolation(
+            f"certified witness of size {witness.bit_count()} exceeds "
+            f"{locating_size_limit(g.n)} for n={g.n}"
+        )
+    ld = extend_to_dominating(g, witness)
+    if certified and ld.bit_count() > ld_size_limit(g.n):
         raise BoundViolation(
             f"LD witness of size {ld.bit_count()} exceeds {ld_size_limit(g.n)}"
         )
-    return dataclasses.replace(report, ld_witness=ld)
+    return BoundReport(cands, witness, mode, certified, d.s_value, d.k, ld)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import sys
 import time
 import traceback
@@ -45,16 +44,6 @@ _EXIT_CODES = (
     (BoundViolation, EXIT_BOUND),
     (LocdomError, EXIT_PARSE),
 )
-
-
-def _default_max_exact() -> int:
-    env = os.environ.get("LOCDOM_MAX_EXACT")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidParameter(f"LOCDOM_MAX_EXACT={env!r} is not an integer") from None
-    return bound.EXACT_CEILING_DEFAULT
 
 
 def _read_input(path: str) -> str:
@@ -188,15 +177,14 @@ def check(input: str) -> None:
 @main.command(name="bound")
 @click.argument("input", default="-")
 @click.option("--mode", type=click.Choice(["exact", "heuristic"]), default="exact")
-@click.option("--max-exact", type=int, default=None)
-def bound_cmd(input: str, mode: str, max_exact: int | None) -> None:
+@click.option("--max-exact", type=int, default=bound.EXACT_CEILING_DEFAULT)
+def bound_cmd(input: str, mode: str, max_exact: int) -> None:
     """Run the constructive bound pipeline and print the candidate table."""
     timer = _Timer()
     g = _load_graph(input)
     timer.mark("parse")
-    ceiling = max_exact if max_exact is not None else _default_max_exact()
     record = _base_record(g)
-    record.update(_bound_record(g, mode, ceiling))
+    record.update(_bound_record(g, mode, max_exact))
     timer.mark("construct")
     record["timings_ms"] = timer.phases
     click.echo(_dumps(record))
@@ -383,7 +371,7 @@ def _in_order(pool: Executor, fn, tasks: Iterable, window: int) -> Iterator:
 @click.argument("source")
 @click.option("--jobs", type=int, default=1)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--max-exact", type=int, default=None)
+@click.option("--max-exact", type=int, default=bound.EXACT_CEILING_DEFAULT)
 @click.option("--solve-ceiling", type=int, default=solver.MIN_SET_CEILING)
 @click.option("--no-q1", is_flag=True, default=False)
 def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
@@ -405,7 +393,7 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
         line_numbers = [i for i, line in enumerate(stripped, 1) if line and not line.startswith("#")]
         items = [stripped[i - 1] for i in line_numbers]
     opt = {
-        "max_exact": max_exact if max_exact is not None else _default_max_exact(),
+        "max_exact": max_exact,
         "solve_ceiling": solve_ceiling,
         "q1": not no_q1,
     }
@@ -445,6 +433,12 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
 @click.option("--count", type=int, default=1, help="gnp only: graphs for seeds seed..seed+count-1")
 def gen(kind, n, p, seed, count) -> None:
     """Emit generated graphs as graph6 lines."""
+    if count < 1:
+        raise InvalidParameter(f"--count must be at least 1, got {count}")
+    if kind != "gnp":
+        for name, given in (("--p", p is not None), ("--seed", seed is not None), ("--count", count != 1)):
+            if given:
+                raise InvalidParameter(f"{name} applies to gnp only")
     if kind == "all":
         for g in graphs.all_labeled_graphs(n):
             click.echo(graphs.encode_graph6(g))

@@ -58,7 +58,6 @@ class PartitionWitness:
 
 @dataclass(frozen=True)
 class SkResult:
-    k: int
     value: int
     witness_partition: tuple[int, ...]
 
@@ -126,7 +125,7 @@ def min_locating_dominating(g: Graph, ceiling: int = MIN_SET_CEILING) -> Optimum
     return _min_good(g, True, ceiling)
 
 
-def two_locating_partition(g: Graph, ceiling: int = PARTITION2_CEILING) -> PartitionWitness:
+def two_locating_partition(g: Graph) -> PartitionWitness:
     """Search all bipartitions V = X | Y for two simultaneous locating sets.
 
     Vertex 0 is pinned to X to halve the space; the first witness in
@@ -134,8 +133,8 @@ def two_locating_partition(g: Graph, ceiling: int = PARTITION2_CEILING) -> Parti
     location.first_split does the search, a block of 2^BLOCK_BITS choices
     of X at a time.
     """
-    if g.n > ceiling:
-        raise RefusedScale(f"bipartition search refused for n={g.n} > {ceiling}")
+    if g.n > PARTITION2_CEILING:
+        raise RefusedScale(f"bipartition search refused for n={g.n} > {PARTITION2_CEILING}")
     if g.n == 0:
         return PartitionWitness(0, 0, True)
     x = first_split(g, pinned=True)
@@ -213,7 +212,7 @@ def _completion(g: Graph, blocks: list[int], k: int, i: int) -> int:
     return _extend(table, blocks[0], best, shift, (count - 1,))[0]
 
 
-def s_k_of_graph(g: Graph, k: int, ceiling: int = SK_CEILING) -> SkResult:
+def s_k_of_graph(g: Graph, k: int) -> SkResult:
     """Maximum of the summed separation score over all k-partitions of V.
 
     A submask DP over score_table (_sk_level).  The witness is the
@@ -221,8 +220,8 @@ def s_k_of_graph(g: Graph, k: int, ceiling: int = SK_CEILING) -> SkResult:
     first: vertex by vertex, the smallest label whose best completion still
     reaches the maximum.  Its blocks are bitmasks indexed by first occurrence.
     """
-    if g.n > ceiling:
-        raise RefusedScale(f"k-partition search refused for n={g.n} > {ceiling}")
+    if g.n > SK_CEILING:
+        raise RefusedScale(f"k-partition search refused for n={g.n} > {SK_CEILING}")
     if not 1 <= k <= g.n:
         raise InvalidParameter(f"k={k} outside 1..{g.n}")
     value = _completion(g, [1], k, 0)  # every partition has vertex 0 in block 0
@@ -242,4 +241,4 @@ def s_k_of_graph(g: Graph, k: int, ceiling: int = SK_CEILING) -> SkResult:
         if label == len(blocks):
             blocks.append(0)
         blocks[label] |= 1 << i
-    return SkResult(k, value, tuple(blocks))
+    return SkResult(value, tuple(blocks))

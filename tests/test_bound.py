@@ -9,7 +9,6 @@ from locdom.bound import (
     build_z,
     candidate_sets,
     construct_ld,
-    construct_locating,
     decompose,
     derive_good_set,
     ld_size_limit,
@@ -402,7 +401,7 @@ class TestCandidates:
 
 class TestConstruct:
     def test_p4(self, p4):
-        r = construct_locating(p4)
+        r = construct_ld(p4)
         assert r.certified and r.witness_size == 2 <= locating_size_limit(4)
         assert is_locating(p4, r.witness)
 
@@ -412,18 +411,17 @@ class TestConstruct:
 
     def test_twins_rejected(self, c4):
         with pytest.raises(TwinsPresent):
-            construct_locating(c4)
+            construct_ld(c4)
 
     def test_empty_graph(self):
         r = construct_ld(new_graph(0, []))
         assert r.witness == 0 and r.ld_witness == 0
         assert r.candidates == () and r.certified
 
-    @pytest.mark.parametrize("construct", [construct_locating, construct_ld])
-    def test_unknown_mode_on_empty_graph(self, construct):
+    def test_unknown_mode_on_empty_graph(self):
         # the mode is checked before the empty-graph shortcut
         with pytest.raises(DomainViolation):
-            construct(new_graph(0, []), mode="bogus")
+            construct_ld(new_graph(0, []), mode="bogus")
 
     def test_averaging_combination(self):
         # min(eq1,eq4) <= (n+2k-1)/2 and min(eq1,eq2,eq3) <= (2n-k)/3
@@ -431,7 +429,7 @@ class TestConstruct:
         for g in random_graphs(60, 4, 9, seed0=113):
             if not is_twin_free(g):
                 continue
-            r = construct_locating(g)
+            r = construct_ld(g)
             sizes = {c.tag: c.size for c in r.candidates}
             n, k = g.n, r.k
             if k >= 1:
@@ -457,7 +455,7 @@ class TestConstruct:
         for g in random_graphs(40, 4, 9, seed0=131):
             if not is_twin_free(g):
                 continue
-            h = construct_locating(g, mode="heuristic")
+            h = construct_ld(g, mode="heuristic")
             assert h.witness_size >= min_locating(g).size
 
     def test_ld_limits(self):

@@ -67,26 +67,20 @@ class TestBound:
         rec = run_json(runner, ["bound", "-", "--mode", "heuristic"], input="Ch\n")
         assert rec["certified"] is False
 
-    def test_refused_scale(self, runner, monkeypatch):
-        monkeypatch.setenv("LOCDOM_MAX_EXACT", "3")
-        result = runner.invoke(main, ["bound", "-"], input="Ch\n")
+    def test_refused_scale(self, runner):
+        result = runner.invoke(main, ["bound", "-", "--max-exact", "3"], input="Ch\n")
         assert result.exit_code == EXIT_SCALE
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: exact maximization refused for n=4 > 3"]
 
-    def test_default_ceiling_certifies_n24(self, runner, monkeypatch):
+    def test_default_ceiling_certifies_n24(self, runner):
         # gen path 24 | bound -, at the default exact ceiling
-        monkeypatch.delenv("LOCDOM_MAX_EXACT", raising=False)
         p24 = runner.invoke(main, ["gen", "path", "24"]).stdout
         result = runner.invoke(main, ["bound", "-"], input=p24)
         assert result.exit_code == 0, result.output
         rec = json.loads(result.stdout)
         assert rec["certified"] is True and rec["mode"] == "exact"
         assert rec["l_upper"] == 10
-
-    def test_bad_max_exact_env(self, runner, monkeypatch):
-        monkeypatch.setenv("LOCDOM_MAX_EXACT", "x")
-        result = runner.invoke(main, ["bound", "-"], input="Ch\n")
-        assert result.exit_code == EXIT_PARSE
-        assert result.stderr.splitlines() == ["error: LOCDOM_MAX_EXACT='x' is not an integer"]
 
 
 # python -O strips assert statements; the witness re-check must still fire.
@@ -225,6 +219,22 @@ class TestGenConvert:
         result = runner.invoke(main, ["gen", "gnp", "10", "--p", "0.5"])
         assert result.exit_code == EXIT_PARSE
         assert result.stderr.splitlines() == ["error: gnp requires a seed"]
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["complete", "2", "--p", "0.3"], "--p applies to gnp only"),
+            (["path", "3", "--seed", "1"], "--seed applies to gnp only"),
+            (["path", "3", "--count", "2"], "--count applies to gnp only"),
+            (["gnp", "5", "--p", "0.5", "--seed", "1", "--count", "0"], "--count must be at least 1, got 0"),
+        ],
+        ids=["p", "seed", "count", "count-zero"],
+    )
+    def test_gen_unused_option(self, runner, args, message):
+        result = runner.invoke(main, ["gen", *args])
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {message}"]
 
     def test_gen_gnp_deterministic(self, runner):
         a = runner.invoke(main, ["gen", "gnp", "10", "--p", "0.5", "--seed", "1"]).stdout
@@ -388,6 +398,19 @@ class TestCorpus:
         record = json.loads(out.read_text())
         assert record["ld_exact"] == 7  # ceil(2n/5) on the path P_n
         assert record["l_exact"] <= record["ld_exact"] <= record["ld_upper"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_max_exact_picks_mode(self, runner, tmp_path, jobs):
+        # P4 (n = 4) is at the ceiling and C5 (n = 5) above it
+        src = tmp_path / "p4c5.g6"
+        src.write_text("Ch\nDhc\n")
+        out = tmp_path / "reports.jsonl"
+        args = ["corpus", str(src), "--max-exact", "4", "--jobs", jobs, "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        modes = [(r["n"], r["mode"], r["certified"]) for r in records]
+        assert modes == [(4, "exact", True), (5, "heuristic", False)]
 
     def test_jobs_determinism(self, runner, tmp_path):
         out1 = tmp_path / "a.jsonl"

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from locdom import solver
 from locdom.bound import max_score_exact
 from locdom.errors import InvalidParameter, RefusedScale
 from locdom.graphs import all_labeled_graphs, generate, is_twin_free, new_graph, set_of
@@ -291,11 +292,12 @@ class TestSk:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_raised_ceiling(self):
-        # above SK_CEILING, past the graph size the level memo is sized for
+    def test_raised_ceiling(self, monkeypatch):
+        # above the default SK_CEILING, past the graph size the level memo is sized for
+        monkeypatch.setattr(solver, "SK_CEILING", 13)
         g = generate("gnp", 13, 0.3, 2)
         assert is_twin_free(g)
-        assert s_k_of_graph(g, 2, ceiling=13).value == max_score_exact(g)[0]
+        assert s_k_of_graph(g, 2).value == max_score_exact(g)[0]
 
     def test_levels_shared_across_threads(self):
         # threads filling one graph's levels at once must all read the same values
@@ -341,13 +343,13 @@ class TestMaxS2:
         assert max_score_exact(k1)[0] == 1
 
     def test_sandwich_with_constructive_bound(self):
-        from locdom.bound import construct_locating
+        from locdom.bound import construct_ld
         from locdom.solver import min_locating
 
         for g in random_graphs(40, 4, 8, seed0=179):
             if not is_twin_free(g):
                 continue
-            r = construct_locating(g)
+            r = construct_ld(g)
             assert min_locating(g).size <= r.witness_size
 
 
