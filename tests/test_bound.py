@@ -418,10 +418,11 @@ class TestConstruct:
         assert r.witness == 0 and r.ld_witness == 0
         assert r.candidates == () and r.certified
 
-    def test_unknown_mode_on_empty_graph(self):
+    @pytest.mark.parametrize("construct", [construct_ld])
+    def test_unknown_mode_on_empty_graph(self, construct):
         # the mode is checked before the empty-graph shortcut
         with pytest.raises(DomainViolation):
-            construct_ld(new_graph(0, []), mode="bogus")
+            construct(new_graph(0, []), mode="bogus")
 
     def test_averaging_combination(self):
         # min(eq1,eq4) <= (n+2k-1)/2 and min(eq1,eq2,eq3) <= (2n-k)/3
