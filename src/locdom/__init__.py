@@ -41,7 +41,6 @@ from .location import (
     is_locating_dominating,
     representatives,
     score_table,
-    separation_score,
     x_partition,
 )
 from .solver import (

@@ -9,6 +9,12 @@ the representative side.  Four locating candidates fall out, and the
 smallest is guaranteed (in exact mode, on twin-free input) to have size at
 most floor((5n-1)/8); one more vertex makes it dominating as well, giving
 ceil(5n/8).
+
+A set is scored once: score_sum returns a ScoredSet carrying both trace
+partitions (the A-partition of V \\ A and the (V \\ A)-partition of A), the
+scores are their class counts, and each step reads the partitions of the
+set it was handed.  build_z starts from the A-classes of B and refines its
+Z-classes by one neighborhood per vertex it adds.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from .location import (
     miss_planes,
     representatives,
     score_planes,
-    separation_score,
     vertex_planes,
     x_partition,
 )
@@ -48,11 +53,23 @@ CANDIDATE_TAGS = ("eq1", "eq2", "eq3", "eq4")
 
 @dataclass(frozen=True)
 class ScoredSet:
-    """A subset with its two separation scores."""
+    """A subset a with its two trace partitions, as x_partition orders them.
+
+    by_a: the a-partition of V \\ a; by_comp: the (V \\ a)-partition of a.
+    The separation scores s(a) and s(V \\ a) are their class counts.
+    """
 
     a: int
-    s_a: int
-    s_comp: int
+    by_a: tuple[int, ...]
+    by_comp: tuple[int, ...]
+
+    @property
+    def s_a(self) -> int:
+        return len(self.by_a)
+
+    @property
+    def s_comp(self) -> int:
+        return len(self.by_comp)
 
     @property
     def sum(self) -> int:
@@ -112,7 +129,8 @@ class BoundReport:
 
 
 def score_sum(g: Graph, a: int) -> ScoredSet:
-    return ScoredSet(a, separation_score(g, a), separation_score(g, g.complement_set(a)))
+    comp = g.complement_set(a)
+    return ScoredSet(a, x_partition(g, a, comp), x_partition(g, comp, a))
 
 
 def thinning_move(g: Graph, a: int, u_class: int, u: int) -> int:
@@ -138,22 +156,16 @@ def local_search(g: Graph, a0: int) -> ScoredSet:
     the score sum.  Each accepted move strictly increases the sum, so this
     terminates.
     """
-    a = a0
-    current = score_sum(g, a)
+    current = score_sum(g, a0)
     while True:
-        moved = False
-        for cls in x_partition(g, a, g.complement_set(a)):
+        for cls in current.by_a:
             if cls.bit_count() < 2:
                 continue
-            u_bit = cls & -cls
-            a2 = a | (cls ^ u_bit)
-            scored2 = score_sum(g, a2)
+            scored2 = score_sum(g, current.a | (cls ^ cls & -cls))
             if scored2.sum > current.sum:
-                a = a2
                 current = scored2
-                moved = True
                 break
-        if not moved:
+        else:
             return current
 
 
@@ -166,16 +178,20 @@ def derive_good_set(g: Graph, a: int, s_max: int | None = None) -> int:
     maximum score sum, r attains it too and is therefore a good set, which
     makes the complement of r a locating set.
     """
-    scored = score_sum(g, a)
+    return _good_set(g, score_sum(g, a), s_max).a
+
+
+def _good_set(g: Graph, scored: ScoredSet, s_max: int | None = None) -> ScoredSet:
+    """derive_good_set off a scored set, returning the good set scored."""
     if s_max is not None and scored.sum != s_max:
         raise NotMaximal(f"score sum {scored.sum} != maximum {s_max}")
-    r = representatives(x_partition(g, a, g.complement_set(a)))
+    r = representatives(scored.by_a)
     scored_r = score_sum(g, r)
     if scored_r.s_comp != r.bit_count():
         raise Infeasible("representative set failed structural goodness")
     if s_max is not None and scored_r.sum != s_max:
         raise NotMaximal("normalized set lost the maximum score sum")
-    return r
+    return scored_r
 
 
 def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int, int]:
@@ -273,73 +289,71 @@ def _max_score_full(g: Graph) -> tuple[int, int]:
     return best_sum, best_good
 
 
-def build_z(g: Graph, a: int, b: int) -> int:
+def build_z(g: Graph, a: int, a_part: tuple[int, ...]) -> int:
     """Greedy separator: z inside a whose partition of b equals a's.
 
+    a_part is the a-partition of b (x_partition(g, a, b)), k = len(a_part).
     While the z-partition of b has fewer classes than the a-partition, two
     a-classes share a z-class; any vertex of a \\ z adjacent to all of one
     and none of the other splits them.  Such a vertex always exists because
     the two classes have distinct traces in a and no vertex of z separates
-    them.  At most k-1 additions are needed.
+    them.  At most k-1 additions are needed.  The pair is the two smallest
+    class minima in the first z-class, by minimum member, that holds two,
+    and the separator the smallest such vertex.  The z-partition starts as
+    the one class b and is refined, not rebuilt: adding w splits each class
+    by N(w), and the parts are put back in minimum-member order.
     """
-    a_part = x_partition(g, a, b)
     k = len(a_part)
     if k <= 1:
         return 0
-    # pick one probe vertex per a-class; traces are constant on a class
-    probes = [(cls & -cls).bit_length() - 1 for cls in a_part]
+    # one probe vertex per a-class, its minimum; traces are constant on a class
+    probes = representatives(a_part)
+    z_part = [sum(a_part)]  # b: the classes are disjoint
     z = 0
-    while True:
-        z_part = x_partition(g, z, b)
-        if len(z_part) == k:
-            break
+    while len(z_part) != k:
         if z.bit_count() >= k - 1:
             raise Infeasible("separator exceeded k-1 vertices")
         # find two a-classes merged under z
-        pair = None
-        for zc in z_part:
-            inside = [p for p in probes if zc >> p & 1]
-            if len(inside) >= 2:
-                pair = (inside[0], inside[1])
-                break
-        if pair is None:
+        inside = next((zc & probes for zc in z_part if (zc & probes).bit_count() >= 2), 0)
+        if not inside:
             raise Infeasible("class counts disagree but no merged pair found")
-        u, u2 = pair
-        sep = None
-        for w in members(a & ~z):
-            if (g.adj[w] >> u & 1) != (g.adj[w] >> u2 & 1):
-                sep = w
-                break
+        rest = inside & (inside - 1)
+        pair = inside & -inside | rest & -rest  # its two smallest probes
+        sep = next((w for w in members(a & ~z) if (g.adj[w] & pair).bit_count() == 1), None)
         if sep is None:
             raise Infeasible("no separating vertex available in a \\ z")
         z |= 1 << sep
+        row = g.adj[sep]
+        parts = (part for zc in z_part for part in (zc & row, zc & ~row) if part)
+        z_part = sorted(parts, key=lambda cls: cls & -cls)
     return z
 
 
 def decompose(g: Graph, a: int, s_max: int | None = None) -> GoodDecomposition:
     """Decompose a good set into (b, r_b, c, k, a_prime, z)."""
-    scored = score_sum(g, a)
+    return _decompose(g, score_sum(g, a), s_max)
+
+
+def _decompose(g: Graph, scored: ScoredSet, s_max: int | None = None) -> GoodDecomposition:
+    """decompose off a scored set: b, r_b and k are read off its a-partition
+    of the complement, whose non-trivial classes are the a-partition of b."""
+    a = scored.a
     if scored.s_comp != a.bit_count():
         raise NotGood("complement-side partition of a has a non-trivial class")
     if s_max is not None and scored.sum != s_max:
         raise NotGood(f"score sum {scored.sum} != maximum {s_max}")
-    comp = g.complement_set(a)
-    b = 0
-    r_b = 0
-    k = 0
-    for cls in x_partition(g, a, comp):
-        if cls.bit_count() >= 2:
-            b |= cls
-            r_b |= cls & -cls
-            k += 1
-    c = comp & ~b
+    b_part = tuple(cls for cls in scored.by_a if cls.bit_count() >= 2)
+    b = sum(b_part)  # the classes are disjoint
+    r_b = representatives(b_part)
+    k = len(b_part)
+    c = g.complement_set(a) & ~b
     rep_side = r_b | c
     rest = g.complement_set(rep_side)  # a | (b \ r_b)
     a_prime = 0
     for cls in x_partition(g, rep_side, rest):
         if cls.bit_count() >= 2:
             a_prime |= cls & a
-    z = build_z(g, a, b)
+    z = build_z(g, a, b_part)
     return GoodDecomposition(a, b, r_b, c, k, a_prime, z, scored.sum)
 
 
@@ -432,7 +446,7 @@ def construct_ld(
         runs = [decompose(g, good, s_max=s_value)]
     else:
         starts = (0, _random_subset(g.n, rng_seed))
-        runs = (decompose(g, derive_good_set(g, local_search(g, a0).a)) for a0 in starts)
+        runs = (_decompose(g, _good_set(g, local_search(g, a0))) for a0 in starts)
     best = None
     for d in runs:
         cands = candidate_sets(g, d, strict=certified)

@@ -26,9 +26,12 @@ def x_partition(g: Graph, x: int, y: int) -> tuple[int, ...]:
     if y & ~g.complement_set(x):
         raise DomainViolation("y must be a subset of the complement of x")
     groups: dict[int, int] = {}
-    for v in members(y):
-        t = g.adj[v] & x
-        groups[t] = groups.get(t, 0) | 1 << v
+    adj = g.adj
+    while y:  # members(y), inlined: every set the bound scores comes through here
+        low = y & -y
+        t = adj[low.bit_length() - 1] & x
+        groups[t] = groups.get(t, 0) | low
+        y ^= low
     # insertion order = first-seen order = order by minimum member
     return tuple(groups.values())
 
@@ -39,11 +42,6 @@ def representatives(classes: tuple[int, ...]) -> int:
     for cls in classes:
         chosen |= cls & -cls
     return chosen
-
-
-def separation_score(g: Graph, a: int) -> int:
-    """Number of distinct traces over the complement of a."""
-    return len({row & a for v, row in enumerate(g.adj) if not a >> v & 1})
 
 
 # the subset planes are built one block of the subsets of this many low
@@ -251,7 +249,7 @@ _DIGIT_TO_BYTE = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 
 
 def score_table(g: Graph) -> bytearray:
-    """separation_score of every subset, indexed by its bit pattern.
+    """The separation score of every subset, indexed by its bit pattern.
 
     The byte spread of score_planes: each counter plane of a block is
     spread to one byte per subset through its binary digits, and the byte

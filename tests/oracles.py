@@ -52,6 +52,25 @@ def ref_max_score(g):
     )
 
 
+def ref_build_z(g, a_set, b_set):
+    """The greedy separator rebuilt from scratch each step: while the
+    z-partition of b has fewer classes than the a-partition, take the first
+    z-class (by minimum member) holding two a-class minima, its two smallest,
+    and add the smallest vertex of a - z adjacent to exactly one of them."""
+    nbr = neighborhoods(g)
+    a_classes = ref_partition(g, a_set, b_set)
+    minima = sorted(min(cls) for cls in a_classes)
+    z = set()
+    while len(ref_partition(g, z, b_set)) < len(a_classes):
+        for zc in ref_partition(g, z, b_set):
+            merged = [u for u in minima if u in zc]
+            if len(merged) >= 2:
+                break
+        u, u2 = merged[:2]
+        z.add(min(w for w in a_set - z if (u in nbr[w]) != (u2 in nbr[w])))
+    return z
+
+
 def ref_is_locating(g, x_set):
     nbr = neighborhoods(g)
     comp = set(range(g.n)) - x_set

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from locdom.bound import score_sum
 from locdom.errors import DomainViolation, PreconditionViolated
 from locdom.graphs import new_graph, set_of
 from locdom.location import (
@@ -12,7 +13,6 @@ from locdom.location import (
     is_locating_dominating,
     representatives,
     score_table,
-    separation_score,
     x_partition,
 )
 
@@ -69,17 +69,17 @@ class TestXPartition:
 
 class TestSeparationScore:
     def test_examples(self, p4):
-        assert separation_score(p4, set_of([0])) == 2
-        assert separation_score(p4, set_of([0, 2])) == 2
+        assert score_sum(p4, set_of([0])).s_a == 2
+        assert score_sum(p4, set_of([0, 2])).s_a == 2
 
     def test_extremes(self, c5):
-        assert separation_score(c5, c5.full_set) == 0
-        assert separation_score(c5, 0) == 1
+        assert score_sum(c5, c5.full_set).s_a == 0
+        assert score_sum(c5, 0).s_a == 1
 
     def test_matches_reference(self):
         for g in random_graphs(20, 1, 9, seed0=43):
             for a in range(1 << g.n):
-                assert separation_score(g, a) == ref_s(g, to_set(a))
+                assert score_sum(g, a).s_a == ref_s(g, to_set(a))
 
     def test_table_matches_reference(self):
         # n = 0 is the one-entry table; n < 3 has planes narrower than a byte

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from locdom import solver
-from locdom.bound import max_score_exact
+from locdom.bound import max_score_exact, score_sum
 from locdom.errors import InvalidParameter, RefusedScale
 from locdom.graphs import all_labeled_graphs, generate, is_twin_free, new_graph, set_of
 from locdom.location import (
@@ -15,7 +15,6 @@ from locdom.location import (
     is_locating_dominating,
     miss_planes,
     score_table,
-    separation_score,
 )
 from locdom.solver import (
     PartitionWitness,
@@ -222,10 +221,10 @@ class TestSk:
     def test_k_equals_n(self):
         for g in random_graphs(15, 2, 7, seed0=157):
             res = s_k_of_graph(g, g.n)
-            expected = sum(separation_score(g, 1 << v) for v in range(g.n))
+            expected = sum(score_sum(g, 1 << v).s_a for v in range(g.n))
             assert res.value == expected
             for v in range(g.n):
-                assert separation_score(g, 1 << v) in (1, 2)
+                assert score_sum(g, 1 << v).s_a in (1, 2)
 
     def test_p4_k2_equals_max_s2(self, p4):
         assert s_k_of_graph(p4, 2).value == 4 == max_score_exact(p4)[0]
