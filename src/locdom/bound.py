@@ -347,12 +347,15 @@ def _decompose(g: Graph, scored: ScoredSet, s_max: int | None = None) -> GoodDec
     r_b = representatives(b_part)
     k = len(b_part)
     c = g.complement_set(a) & ~b
-    rep_side = r_b | c
-    rest = g.complement_set(rep_side)  # a | (b \ r_b)
     a_prime = 0
-    for cls in x_partition(g, rep_side, rest):
-        if cls.bit_count() >= 2:
-            a_prime |= cls & a
+    # at k = 0 the rest is a and its (r_b | c)-partition is by_comp, whose
+    # classes the NotGood check above found all trivial, so a_prime is empty
+    if k:
+        rep_side = r_b | c
+        rest = g.complement_set(rep_side)  # a | (b \ r_b)
+        for cls in x_partition(g, rep_side, rest):
+            if cls.bit_count() >= 2:
+                a_prime |= cls & a
     z = build_z(g, a, b_part)
     return GoodDecomposition(a, b, r_b, c, k, a_prime, z, scored.sum)
 
@@ -386,9 +389,12 @@ def candidate_sets(g: Graph, d: GoodDecomposition, strict: bool = True) -> tuple
         if k >= 1 and sets["eq4"].bit_count() > c + 3 * k - 1:
             raise VerificationFailed("eq4 candidate exceeds c + 3k - 1")
     out = []
+    located: dict[int, bool] = {}  # one test per distinct set: at k = 0 eq4 is eq2 and eq3 is V
     for tag in CANDIDATE_TAGS:
         s = sets[tag]
-        loc = is_locating(g, s)
+        loc = located.get(s)
+        if loc is None:
+            loc = located[s] = is_locating(g, s)
         if strict and not loc:
             raise VerificationFailed(f"candidate {tag} failed the locating check")
         out.append(Candidate(tag, s, s.bit_count(), loc))

@@ -46,6 +46,13 @@ _EXIT_CODES = (
 )
 
 
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        raise LocdomError(f"cannot write {path}: {exc}") from None
+
+
 def _read_input(path: str) -> str:
     try:
         if path == "-":
@@ -80,8 +87,12 @@ def _vs(s: int) -> list[int]:
     return list(graphs.members(s))
 
 
+# one encoder for every record: json.dumps with options builds a new one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dumps(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def _base_record(g: graphs.Graph) -> dict:
@@ -333,7 +344,15 @@ def _corpus_record(build, index: int, item, opt: dict) -> dict:
 
 
 def _twin_free_fields(g: graphs.Graph, opt: dict, record: dict) -> None:
-    """Add the bound, the oracles and q1 to the record of a twin-free graph."""
+    """Add the bound, the oracles and q1 to the record of a twin-free graph.
+
+    An exact record takes q1_found from its S: S = n exactly when V splits
+    into two locating sets, and with S = n strict candidate_sets has just
+    found both sides of that split (eq1 = a and eq2 = V \\ a) locating with
+    the set-based is_locating.  A heuristic record, or one whose bound
+    raised BoundViolation, has no exact S and runs the bipartition search,
+    whose witness _bipartition re-checks.
+    """
     mode = "exact" if g.n <= opt["max_exact"] else "heuristic"
     try:
         record.update(_bound_record(g, mode, opt["max_exact"]))
@@ -349,7 +368,10 @@ def _twin_free_fields(g: graphs.Graph, opt: dict, record: dict) -> None:
         record["ld_exact"] = ld_opt.size
         record["conjecture_half"] = 2 * ld_opt.size <= g.n + (g.n & 1)
     if opt["q1"] and g.n <= solver.PARTITION2_CEILING:
-        record["q1_found"] = _bipartition(g).found
+        if record.get("mode") == "exact":
+            record["q1_found"] = record["S"] == g.n
+        else:
+            record["q1_found"] = _bipartition(g).found
 
 
 def _in_order(pool: Executor, fn, tasks: Iterable, window: int) -> Iterator:
@@ -402,7 +424,7 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
     tasks = ((build, i, items[i : i + size], opt) for i in range(0, len(items), size))
     tally = _Tally()
     with contextlib.ExitStack() as stack:
-        sink = stack.enter_context(open(out, "w", encoding="ascii")) if out else sys.stdout
+        sink = stack.enter_context(_open_output(out)) if out else sys.stdout
         if jobs > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             chunks = _in_order(pool, _corpus_chunk, tasks, 2 * jobs)

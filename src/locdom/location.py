@@ -272,20 +272,29 @@ def score_table(g: Graph) -> bytearray:
 
 def is_locating(g: Graph, x: int) -> bool:
     """All vertices outside x have pairwise distinct traces."""
-    comp = g.complement_set(x)
+    y = g.complement_set(x)
     adj = g.adj
     seen = set()
-    for v in members(comp):
-        t = adj[v] & x
+    while y:  # members(y), inlined as in x_partition: every witness check comes through here
+        low = y & -y
+        t = adj[low.bit_length() - 1] & x
         if t in seen:
             return False
         seen.add(t)
+        y ^= low
     return True
 
 
 def is_dominating(g: Graph, x: int) -> bool:
+    """Every vertex outside x has a neighbor in x."""
+    y = g.complement_set(x)
     adj = g.adj
-    return all(adj[v] & x for v in members(g.complement_set(x)))
+    while y:  # members(y), inlined as in is_locating
+        low = y & -y
+        if not adj[low.bit_length() - 1] & x:
+            return False
+        y ^= low
+    return True
 
 
 def is_locating_dominating(g: Graph, x: int) -> bool:

@@ -367,6 +367,43 @@ class TestDecompose:
             assert d.a_prime.bit_count() <= d.k
             assert d.a_prime & ~d.a == 0 and d.z & ~d.a == 0
 
+    @staticmethod
+    def _fresh_a_prime(g, d):
+        rep_side = d.r_b | d.c
+        a_prime = 0
+        for cls in x_partition(g, rep_side, g.complement_set(rep_side)):
+            if cls.bit_count() >= 2:
+                a_prime |= cls & d.a
+        return a_prime
+
+    def test_a_prime_on_every_good_set(self):
+        # every twin-free graph with n <= 6 has S = n, so each of its good
+        # sets has k = 0, where decompose reads a_prime off the NotGood check
+        checked = 0
+        for n in range(1, 7):
+            for g in all_labeled_graphs(n):
+                if not is_twin_free(g):
+                    continue
+                s = max_score_exact(g)[0]
+                table, full = score_table(g), g.full_set
+                for a in range(1 << n):
+                    if table[a] + table[full ^ a] == s and table[full ^ a] == a.bit_count():
+                        d = decompose(g, a, s_max=s)
+                        assert d.a_prime == self._fresh_a_prime(g, d)
+                        checked += 1
+        assert checked > 100_000
+
+    def test_a_prime_on_heuristic_decompositions(self):
+        # local optima reach k >= 1, where a_prime is computed and often not empty
+        seen_k, non_empty = set(), 0
+        for i, g in enumerate(random_graphs(60, 8, 16, p=0.3, seed0=229)):
+            for a0 in (0, i * 0x9E3779B9 % (1 << g.n)):
+                d = decompose(g, derive_good_set(g, local_search(g, a0).a))
+                assert d.a_prime == self._fresh_a_prime(g, d)
+                seen_k.add(d.k)
+                non_empty += d.a_prime != 0
+        assert max(seen_k) >= 3 and 0 in seen_k and non_empty > 30
+
 
 class TestBuildZ:
     def test_k0(self, p4):

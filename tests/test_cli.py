@@ -13,7 +13,9 @@ import locdom
 from locdom import bound, location, solver
 from locdom.cli import EXIT_BOUND, EXIT_PARSE, EXIT_SCALE, EXIT_TWINS, _in_order, _twin_free_fields, main
 from locdom.errors import VerificationFailed
-from locdom.graphs import encode_graph6, generate
+from locdom.graphs import all_labeled_graphs, encode_graph6, generate, is_twin_free
+
+from conftest import random_graphs
 
 
 @pytest.fixture
@@ -279,8 +281,8 @@ class TestCorpus:
         assert records[0]["graph_id"] == "Ch" and records[2]["graph_id"] == "Dhc"
 
     @staticmethod
-    def _sweep_patched_on_c5(runner, tmp_path, monkeypatch, module, name, on_c5):
-        """Sweep P4, C5, P4 at --jobs 1 with module.name replaced by on_c5 on C5."""
+    def _sweep_patched_on_c5(runner, tmp_path, monkeypatch, module, name, on_c5, args=()):
+        """Sweep P4, C5, P4 at --jobs 1, plus args, with module.name replaced by on_c5 on C5."""
         real = getattr(module, name)
 
         def patched(g, **kwargs):
@@ -290,7 +292,7 @@ class TestCorpus:
         src = tmp_path / "three.g6"
         src.write_text("Ch\nDhc\nCh\n")
         out = tmp_path / "reports.jsonl"
-        result = runner.invoke(main, ["corpus", str(src), "--jobs", "1", "--out", str(out)])
+        result = runner.invoke(main, ["corpus", str(src), "--jobs", "1", "--out", str(out), *args])
         assert result.exit_code == EXIT_PARSE
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["index"] for r in records] == [0, 1, 2]
@@ -335,14 +337,17 @@ class TestCorpus:
         assert result.stderr.splitlines() == [f"error: line 2: {message}"]
 
     def test_bad_bipartition_witness_caught(self, runner, tmp_path, monkeypatch):
-        # {0} does not locate C5: vertices 1 and 4 both see just vertex 0
+        # {0} does not locate C5: vertices 1 and 4 both see just vertex 0.
+        # An exact record takes q1 from its S, so --max-exact 4 puts C5 in
+        # heuristic mode, where the bipartition search still runs
         def not_locating(g, **kwargs):
             return solver.PartitionWitness(1, 0b11110, True)
 
         result, records = self._sweep_patched_on_c5(
-            runner, tmp_path, monkeypatch, solver, "two_locating_partition", not_locating
+            runner, tmp_path, monkeypatch, solver, "two_locating_partition", not_locating, ["--max-exact", "4"]
         )
         message = "VerificationFailed: bipartition witness failed re-verification"
+        assert records[1]["mode"] == "heuristic"
         assert records[1]["error"] == message
         assert "q1_found" not in records[1]
         assert result.stderr.splitlines() == [f"error: line 2: {message}"]
@@ -374,6 +379,14 @@ class TestCorpus:
         _twin_free_fields(generate("cycle", 7), {"max_exact": 20, "solve_ceiling": 16, "q1": True}, record)
         assert {"S", "l_exact", "ld_exact", "q1_found"} <= set(record)
         assert location.miss_planes.cache_info().misses == 1
+
+    def test_out_directory_missing(self, runner, tmp_path):
+        out = tmp_path / "missing" / "reports.jsonl"
+        result = runner.invoke(main, ["corpus", "all:3", "--out", str(out)])
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"error: cannot write {out}: ") and "No such file or directory" in line
 
     def test_negative_order(self, runner):
         result = runner.invoke(main, ["corpus", "all:-1"])
@@ -471,3 +484,41 @@ class TestCorpus:
                 assert result == taken * taken
                 assert pulled - taken <= window
         assert pulled == 50
+
+
+class TestQ1FromS:
+    """An exact record takes q1_found from S = n, with no bipartition search."""
+
+    OPT = {"max_exact": 24, "solve_ceiling": 0, "q1": True}  # no oracles: q1 alone is checked
+
+    def test_matches_bipartition_search(self):
+        family = [g for n in range(1, 7) for g in all_labeled_graphs(n) if is_twin_free(g)]
+        family += [g for g in random_graphs(64, 7, 14, p=0.5, seed0=223) if is_twin_free(g)]
+        for g in family:
+            record = {}
+            _twin_free_fields(g, self.OPT, record)
+            assert record["mode"] == "exact"
+            assert record["q1_found"] is solver.two_locating_partition(g).found
+        assert len(family) > 14000 and any(g.n == 14 for g in family)
+
+    def test_read_from_s(self, monkeypatch):
+        # P4 splits into two locating sets, but the record believes its S
+        real = bound.construct_ld
+        monkeypatch.setattr(
+            bound, "construct_ld", lambda g, **kw: dataclasses.replace(real(g, **kw), s_value=g.n - 1)
+        )
+        record = {}
+        _twin_free_fields(generate("path", 4), self.OPT, record)
+        assert (record["mode"], record["S"], record["q1_found"]) == ("exact", 3, False)
+
+    def test_exact_sweep_runs_no_search(self, runner, tmp_path, monkeypatch):
+        def fail(g):
+            raise RuntimeError("bipartition search called")
+
+        monkeypatch.setattr(solver, "two_locating_partition", fail)
+        out = tmp_path / "reports.jsonl"
+        result = runner.invoke(main, ["corpus", "all:5", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        tf = [r for r in records if r["twin_free"]]
+        assert len(tf) == 312 and all(r["mode"] == "exact" and r["q1_found"] for r in tf)
