@@ -20,7 +20,6 @@ Z-classes by one neighborhood per vertex it adds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from .errors import (
     BoundViolation,
@@ -36,12 +35,14 @@ from .graphs import Graph, is_twin_free, members, splitmix64
 from .location import (
     at_complements,
     block_misses,
+    block_vertex_planes,
+    count_planes,
     extend_to_dominating,
     first_split,
     is_locating,
+    least,
     miss_planes,
     representatives,
-    score_planes,
     vertex_planes,
     x_partition,
 )
@@ -204,7 +205,7 @@ def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int
     r with both r and V \\ r locating, every one has k = 0 non-trivial
     complement classes, and the one returned is the first in bit order:
     location.first_split, which stops at it.  Only when no split exists are
-    the score sums of all 2^n subsets read (_max_score_full).
+    all 2^n subsets read (_max_score_full).
     """
     if g.n > ceiling:
         raise RefusedScale(f"exact maximization refused for n={g.n} > {ceiling}")
@@ -215,27 +216,30 @@ def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int
 
 
 def _max_score_full(g: Graph) -> tuple[int, int]:
-    """max_score_exact off the score sums of all 2^n subsets, for any S.
+    """max_score_exact off the duplicate counts of all 2^n subsets, for any S.
 
-    Read off the bit-sliced counter planes of location.score_planes, one
-    block of 2^c subsets a = h << c | x at a time, with no table of all
-    2^n scores.  V \\ a lies in block top ^ h at the complement of x, so the
-    score sums of block h are its planes plus those of block top ^ h read
-    at complements, added in ripple-carry; the sums of block top ^ h are
-    the same read at complements, so each pair of blocks is added once.  A
-    top-down bit-sliced max gives the block's largest sum and the plane of
-    its maximizers, and S is the largest over all blocks.
-
-    The good maximizers are the maximizers r with V \\ r locating: the
-    complement plane of miss_planes' located groups, as in the split
-    search.  They are exactly the images of the maximizers under
-    derive_good_set.  That normalization maps every maximizer to a good
+    Let V \\ r be locating.  Then s(V \\ r) = |r|, and s(r) = |V \\ r| - D(r),
+    where D(r) counts the vertices outside r whose trace on r repeats the
+    trace of an earlier vertex outside r, so the score sum at r is n - D(r).
+    Every maximizer normalizes to such an r (derive_good_set), so
+    S = n - min D over these r, and the good maximizers are exactly the
+    minimizers.  They are exactly the images of the maximizers under
+    derive_good_set: that normalization maps every maximizer to a good
     maximizer (or raises), and every good maximizer r is the image of
-    V \\ r: the partition of r by traces on V \\ r has only trivial
-    classes, so its representatives are r itself.  Among the good
-    maximizers this returns the one with the largest number k of
-    non-trivial complement classes, ties broken by smallest bit pattern.
-    Every non-trivial class has at least two members, so
+    V \\ r, as the partition of r by traces on V \\ r has only trivial
+    classes, so its representatives are r itself.
+
+    One block of 2^c subsets r = h << c | x is read at a time, with no table
+    of all 2^n scores.  V \\ r lies in block top ^ h at the complement of x,
+    so the plane of the x with V \\ r locating is the complement plane of
+    miss_planes' located groups, as in the split search, and a block without
+    one is skipped.  D is count_planes of the duplicate planes of
+    location.block_vertex_planes, and least gives its minimum on that plane
+    with the plane of the x reaching it.
+
+    Among the good maximizers this returns the one with the largest number
+    k of non-trivial complement classes, ties broken by smallest bit
+    pattern.  Every non-trivial class has at least two members, so
     k <= sum(|class| - 1) = (n - |r|) - s(r) = n - S on a good maximizer;
     the walk over good maximizers, in increasing bit pattern, stops at the
     first one reaching n - S (the first one at all when S = n).
@@ -245,38 +249,22 @@ def _max_score_full(g: Graph) -> tuple[int, int]:
     c, located = planes.c, planes.located
     top = (1 << (n - c)) - 1
     full = (1 << (1 << c)) - 1
-    best_sum = -1
-    good = []  # (block, plane of its good maximizers) for the blocks reaching best_sum
-    for h in range(top // 2 + 1):  # the lower block of each pair; a lone block is its own partner
-        partner = top ^ h
-        counters = score_planes(planes, per_vertex, h)
-        other = counters if partner == h else score_planes(planes, per_vertex, partner)
-        sums, carry = [], 0
-        for mine, theirs in zip_longest(counters, [at_complements(p, c) for p in other], fillvalue=0):
-            half = mine ^ theirs
-            sums.append(half ^ carry)
-            carry = mine & theirs | half & carry
-        sums.append(carry)
-        value, maxima = 0, full
-        for plane in reversed(sums):
-            hit = maxima & plane
-            value <<= 1
-            if hit:
-                value |= 1
-                maxima = hit
-        if value < best_sum:
+    fewest = n + 1
+    good = []  # (block, plane of its good sets) for the blocks reaching fewest
+    for h in range(top + 1):
+        mask = full ^ at_complements(block_misses(located, top ^ h), c)
+        if not mask:
             continue
-        if value > best_sum:
-            best_sum = value
-            good.clear()
-        good.append((h, maxima & ~at_complements(block_misses(located, partner), c)))
-        if partner != h:
-            good.append((partner, at_complements(maxima & ~block_misses(located, h), c)))
-    best_good = None
-    best_k = -1
+        repeats = [repeat for _, repeat in block_vertex_planes(planes, per_vertex, h)]
+        dups, plane = least(count_planes(repeats), mask)
+        if dups < fewest:
+            fewest, good = dups, []
+        if dups == fewest:
+            good.append((h, plane))
+    best_good, best_k = None, -1
     full_set = g.full_set
-    for h, plane in sorted(good):
-        while plane and best_k < n - best_sum:
+    for h, plane in good:
+        while plane and best_k < fewest:
             low = plane & -plane
             plane ^= low
             r = h << c | low.bit_length() - 1
@@ -286,7 +274,7 @@ def _max_score_full(g: Graph) -> tuple[int, int]:
                 best_good = r
     if best_good is None:
         raise Infeasible("no maximizer of the score sum is a good set")
-    return best_sum, best_good
+    return n - fewest, best_good
 
 
 def build_z(g: Graph, a: int, a_part: tuple[int, ...]) -> int:

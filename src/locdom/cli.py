@@ -64,15 +64,16 @@ def _read_input(path: str) -> str:
 
 
 def _parse_graph_text(text: str) -> graphs.Graph:
-    """Auto-detect edge-list ('n <count>' header) vs graph6."""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("n "):
-            return graphs.parse_edge_list(text)
-        return graphs.decode_graph6(line)
-    raise LocdomError("no graph found in input")
+    """Auto-detect edge-list ('n <count>' header) vs graph6, which must hold
+    one graph line: a file of many is read by corpus."""
+    lines = [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
+    if not lines:
+        raise LocdomError("no graph found in input")
+    if lines[0].startswith("n "):
+        return graphs.parse_edge_list(text)
+    if len(lines) > 1:
+        raise LocdomError(f"{len(lines)} graph6 lines, not one; use corpus to read many graphs")
+    return graphs.decode_graph6(lines[0])
 
 
 def _load_graph(path: str) -> graphs.Graph:

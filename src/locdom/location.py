@@ -7,12 +7,19 @@ classes, and dominating when every outside vertex has a non-empty trace.
 The same predicates over all subsets at once are bit planes: miss_planes,
 which the search for a split into two locating sets (first_split) and the
 solver's oracles share, and vertex_planes, the same planes split by vertex,
-which the separation-score planes (score_planes) read.
+which block_vertex_planes reads one block at a time.  count_planes sums
+planes into bit-sliced counters and least reads their minimum.
+
+The separation score s(a) is |V \\ a| - D(a), where D(a) counts the
+vertices outside a whose trace on a repeats that of an earlier outside
+vertex.  When V \\ r is locating, s(V \\ r) = |r|, so the score sum at r
+is n - D(r); the bound reads its maximum as n minus the fewest duplicates
+over such r, and score_table counts the first vertex of each trace class.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,6 +84,29 @@ def _nibble_tables(c: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]
     return tuple(tables), tuple(tables[w >> 2][1 << (w & 3)] for w in range(c))
 
 
+def _size_counters() -> tuple[int, ...]:
+    """The counter planes of |x| over the 2^BLOCK_BITS subsets x, as
+    count_planes would give them for the planes "w in x", built by
+    doubling: the subsets below 2^(w+1) that hold w are those below 2^w
+    with one member more, so each counter gains an upper half that is the
+    lower one plus 1, added in ripple-carry on planes half as wide."""
+    sizes: list[int] = []
+    for width in (1 << w for w in range(BLOCK_BITS)):
+        carry = (1 << width) - 1
+        for j, count in enumerate(sizes):
+            sizes[j] = count | (count ^ carry) << width
+            carry &= count
+        if carry:
+            sizes.append(carry << width)
+    return tuple(sizes)
+
+
+# built once at import (40 KiB), so no first call at any width pays for
+# them; least on a block of 2^c subsets reads only their low 2^c bits, as
+# its mask has no higher bit
+SIZE_COUNTERS = _size_counters()
+
+
 def _miss(tables: tuple[tuple[int, ...], ...], m: int) -> int:
     """The plane "x misses m" for m below 2^c: one lookup per nibble of m."""
     plane = tables[0][m & 15]
@@ -101,7 +131,7 @@ class MissPlanes:
     locating; dominated over the M_uv and every N[v], so they mark where it
     is not locating-dominating.  absent[w] is "w not in x".  Tuples, as
     every caller of the memo shares them.  The same planes split by v are
-    vertex_planes, which only the score planes read.
+    vertex_planes, which only the score counters read.
     """
 
     c: int
@@ -154,7 +184,7 @@ def vertex_planes(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
 
     Entry v groups the pairs u < v by high part as MissPlanes does: its
     planes at h mark the x for which v, outside h << c | x, has the trace
-    of some earlier vertex.  score_planes reads them.
+    of some earlier vertex.  block_vertex_planes reads them.
     """
     groups: list[dict[int, int]] = [{} for _ in range(g.n)]
     _or_pair_planes(g, min(g.n, BLOCK_BITS), groups.__getitem__)
@@ -171,32 +201,33 @@ def block_misses(groups: tuple[tuple[int, int], ...], h: int) -> int:
     return bad
 
 
-def score_planes(
+def block_vertex_planes(
     planes: MissPlanes, per_vertex: tuple[tuple[tuple[int, int], ...], ...], h: int
-) -> list[int]:
-    """The separation scores of block h as bit-sliced counter planes.
+) -> Iterator[tuple[int, int]]:
+    """Two planes over block h for each vertex v not in all its subsets.
 
-    The vertices from c up (miss_planes) are fixed to the pattern h, and the
-    2^c subsets a = h << c | x below are scored at once, each step one
-    whole-block integer operation.  Outside a, v has the trace of some
-    earlier vertex u iff a misses M_uv, so the OR of v's per-vertex planes
-    whose high part misses h marks where v is not the first of its trace
-    class; first_v is "v not in a" without those, and T[a] = sum over v of
-    first_v(a), summed in ripple-carry counters: bit x of plane j is bit j
-    of T[h << c | x].  planes is miss_planes of the graph and per_vertex
-    its vertex_planes, which the caller builds once for all its blocks.
+    The vertices from c up (miss_planes) are fixed to the pattern h, and
+    the 2^c subsets a = h << c | x below are read at once.  For each v the
+    planes are "v not in a" and "v is outside a with the trace of some
+    earlier vertex outside a": v and u < v are outside a with equal traces
+    iff a misses M_uv, so the second is block_misses of v's vertex_planes
+    at h, and lies within the first.  planes is miss_planes of the graph
+    and per_vertex its vertex_planes, built once for all the blocks.
     """
     c = planes.c
     full = (1 << (1 << c)) - 1
-    counters: list[int] = []
     for v, groups in enumerate(per_vertex):
         if v < c:
-            carry = planes.absent[v]
-        elif h >> (v - c) & 1:
-            continue  # v is in every a of this block
-        else:
-            carry = full
-        carry &= ~block_misses(groups, h)
+            yield planes.absent[v], block_misses(groups, h)
+        elif not h >> (v - c) & 1:  # else v is in every a of this block
+            yield full, block_misses(groups, h)
+
+
+def count_planes(planes: Iterable[int]) -> list[int]:
+    """How many of the planes hold each bit, as bit-sliced counters: bit x
+    of counter j is bit j of that count.  Each plane is added in ripple-carry."""
+    counters: list[int] = []
+    for carry in planes:
         for j, count in enumerate(counters):
             counters[j] = count ^ carry
             carry &= count
@@ -205,6 +236,23 @@ def score_planes(
         if carry:
             counters.append(carry)
     return counters
+
+
+def least(counters: Sequence[int], mask: int) -> tuple[int, int]:
+    """The smallest count of count_planes' counters over the bits of a
+    non-empty mask, and the plane of the bits of mask that reach it.
+
+    From the top counter down, a bit of the minimum is 0 whenever some bit
+    still in mask has a 0 there, and then only those bits stay.
+    """
+    value = 0
+    for j in reversed(range(len(counters))):
+        zeros = mask ^ mask & counters[j]
+        if zeros:
+            mask = zeros
+        else:
+            value |= 1 << j
+    return value, mask
 
 
 # bit j of byte b moved to bit 7 - j
@@ -251,9 +299,12 @@ _DIGIT_TO_BYTE = [bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8)]
 def score_table(g: Graph) -> bytearray:
     """The separation score of every subset, indexed by its bit pattern.
 
-    The byte spread of score_planes: each counter plane of a block is
-    spread to one byte per subset through its binary digits, and the byte
-    planes of a block are ORed together into its slice of the table.
+    T[a] counts the vertices outside a that are the first of their trace
+    class, so each block's scores are count_planes of the planes "v not in
+    a, and no earlier vertex outside a has its trace" (block_vertex_planes).
+    Each counter plane is spread to one byte per subset through its binary
+    digits, and the byte planes of a block are ORed into its slice of the
+    table.
     """
     n = g.n
     planes, per_vertex = miss_planes(g), vertex_planes(g)
@@ -263,7 +314,8 @@ def score_table(g: Graph) -> bytearray:
     table = bytearray(1 << n)
     for h in range(1 << (n - c)):
         total = 0
-        for j, count in enumerate(score_planes(planes, per_vertex, h)):
+        firsts = [outside ^ repeat for outside, repeat in block_vertex_planes(planes, per_vertex, h)]
+        for j, count in enumerate(count_planes(firsts)):
             # format puts bit size-1 first, so big-endian bytes put bit x at byte x
             total |= int.from_bytes(format(count, digits).encode().translate(_DIGIT_TO_BYTE[j]), "big")
         table[h << c : (h + 1) << c] = total.to_bytes(size, "little")

@@ -18,10 +18,13 @@ subsets below as one block, so a raised ceiling costs time, not memory:
 "h << c | x is not locating" (or not locating-dominating) is
 location.block_misses of miss_planes' located (or dominated) planes at h,
 and "V \\ x is not locating" is the same plane read at complements.  The
-minimum sets take the smallest size whose plane of r-subsets meets a
-block's good plane.
+minimum sets read a block's smallest size as location.least of the
+counters of |x| (location.SIZE_COUNTERS) on its good plane.
 
-s_k is a submask DP over location.score_table: level j holds, for every
+s_k is a submask DP over location.score_table, whose entry T[a] =
+|V \\ a| - D(a) counts the vertices outside a that are the first of their
+trace class (D(a) counts the rest; the bound's S = n - min D over the a
+with V \\ a locating reads the same counts).  Level j holds, for every
 vertex set, the best summed score of its partitions into j blocks.  Each
 level is a pure function of the graph and j, memoized in an lru_cache that
 holds every level of one graph at SK_CEILING, so a call for k builds levels
@@ -36,7 +39,7 @@ from typing import Iterable
 
 from .errors import InvalidParameter, RefusedScale
 from .graphs import Graph
-from .location import BLOCK_BITS, block_misses, first_split, miss_planes, score_table
+from .location import SIZE_COUNTERS, block_misses, first_split, least, miss_planes, score_table
 
 MIN_SET_CEILING = 16
 PARTITION2_CEILING = 20
@@ -62,19 +65,6 @@ class SkResult:
     witness_partition: tuple[int, ...]
 
 
-def _size_planes(n: int) -> list[int]:
-    """planes[r] has bit x set iff |x| = r, over the 2^n subsets x of 0..n-1."""
-    planes = [1] + [0] * n
-    for w in range(n):
-        for r in range(w + 1, 0, -1):
-            planes[r] |= planes[r - 1] << (1 << w)
-    return planes
-
-
-# bit x of plane r is also |x| = r in every narrower block
-_SIZE_PLANES = _size_planes(BLOCK_BITS)
-
-
 def _min_good(g: Graph, dominating: bool, ceiling: int) -> OptimumWitness:
     """Smallest x that is locating (and dominating), first in combinations order.
 
@@ -95,11 +85,10 @@ def _min_good(g: Graph, dominating: bool, ceiling: int) -> OptimumWitness:
         if high_size > best_size:
             continue
         good = full ^ block_misses(groups, h)
-        for low_size, plane in enumerate(_SIZE_PLANES[: best_size - high_size + 1]):
-            cand = good & plane
-            if cand:
-                break
-        else:
+        if not good:
+            continue
+        low_size, cand = least(SIZE_COUNTERS, good)
+        if high_size + low_size > best_size:
             continue
         # combinations order among equal sizes: the set holding the smallest
         # element where two sets differ comes first, so keep each w in turn

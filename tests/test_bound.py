@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import random
 import tracemalloc
 
@@ -225,6 +226,33 @@ class TestMaxScoreExact:
     @pytest.mark.parametrize("seed", sorted(UPPER_BLOCK))
     def test_good_set_in_upper_block(self, seed):
         assert max_score_exact(generate("gnp", 17, 0.1, seed)) == self.UPPER_BLOCK[seed]
+
+    # gnp(n - 1, 0.1, seed) plus an open twin of vertex seed, so S < n and
+    # the sums run over every block: n = 20 has 16 blocks and its good set
+    # lies in block 4, n = 24 has 256; recorded from the complementary-block
+    # sums that the duplicate counts replaced
+    OPEN_TWIN = {
+        (18, 1): (16, 20931),
+        (20, 1): (18, 263739),
+        (22, 2): (17, 85767),
+        (24, 2): (20, 33719),
+    }
+
+    @staticmethod
+    def _open_twin(n, seed):
+        base = generate("gnp", n - 1, 0.1, seed)
+        row = base.adj[seed]
+        return new_graph(n, [*base.edges(), *((u, n - 1) for u in range(n - 1) if row >> u & 1)])
+
+    @pytest.mark.parametrize("n,seed", sorted(OPEN_TWIN))
+    def test_open_twin_pinned(self, n, seed):
+        g = self._open_twin(n, seed)
+        s, best = self.OPEN_TWIN[n, seed]
+        assert max_score_exact(g) == (s, best)
+        if n <= 20:
+            # S over all sets, off the score table: T[V - a] is T read backwards
+            table = score_table(g)
+            assert s == max(map(operator.add, table, reversed(table)))
 
     def test_peak_memory(self):
         # cold, so the memo and the nibble tables built in the call count too

@@ -155,6 +155,16 @@ class TestInputErrors:
         assert result.stdout == ""
         assert result.stderr.splitlines() == ["error: -: character '!' outside graph6 alphabet"]
 
+    def test_second_graph6_line_rejected(self, runner):
+        # a single-graph command reads one graph; blank and comment lines
+        # are still skipped around it
+        result = runner.invoke(main, ["bound", "-"], input="Ch\nDhc\n")
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: -: ") and "corpus" in lines[0]
+        assert run_json(runner, ["bound", "-"], input="# P4\n\n  Ch\n\n")["n"] == 4
+
 
 class TestSolve:
     def test_p4(self, runner):

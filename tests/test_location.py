@@ -5,12 +5,16 @@ from locdom.bound import score_sum
 from locdom.errors import DomainViolation, PreconditionViolated
 from locdom.graphs import new_graph, set_of
 from locdom.location import (
+    BLOCK_BITS,
+    SIZE_COUNTERS,
     _miss,
     _nibble_tables,
+    count_planes,
     extend_to_dominating,
     is_dominating,
     is_locating,
     is_locating_dominating,
+    least,
     representatives,
     score_table,
     x_partition,
@@ -186,3 +190,30 @@ def test_miss_plane_property(c_and_m):
     c, m = c_and_m
     plane = _miss(_nibble_tables(c)[0], m)
     assert plane == sum(1 << x for x in range(1 << c) if not x & m)
+
+
+@st.composite
+def _planes_and_masks(draw):
+    width = 1 << draw(st.integers(0, 6))
+    plane = st.integers(0, (1 << width) - 1)
+    return width, draw(st.lists(plane, max_size=12)), draw(plane.filter(bool))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_planes_and_masks())
+def test_counter_planes_property(width_planes_mask):
+    # count_planes and least against a loop over the bits one at a time
+    width, planes, mask = width_planes_mask
+    counters = count_planes(planes)
+    counts = [sum(p >> x & 1 for p in planes) for x in range(width)]
+    assert [sum((c >> x & 1) << j for j, c in enumerate(counters)) for x in range(width)] == counts
+    fewest = min(counts[x] for x in range(width) if mask >> x & 1)
+    argmin = sum(1 << x for x in range(width) if mask >> x & 1 and counts[x] == fewest)
+    assert least(counters, mask) == (fewest, argmin)
+
+
+def test_size_counters():
+    # built by doubling; the same as counting the planes "w in x"
+    full = (1 << (1 << BLOCK_BITS)) - 1
+    same = SIZE_COUNTERS == tuple(count_planes([full ^ plane for plane in _nibble_tables(BLOCK_BITS)[1]]))
+    assert same  # not the planes themselves: their repr has about 20,000 digits

@@ -66,6 +66,25 @@ class TestMinSets:
                 assert w.size == len(ref)
                 assert to_set(w.witness) == ref
 
+    @staticmethod
+    def _corona_path(m):
+        """P_m with one pendant vertex m + i on each path vertex i."""
+        return new_graph(2 * m, [(i, i + 1) for i in range(m - 1)] + [(i, m + i) for i in range(m)])
+
+    @pytest.mark.parametrize(
+        "kind,n,ld",
+        [("path", n, -(-2 * n // 5)) for n in range(1, 17)]  # Slater 1988
+        + [("cycle", n, -(-2 * n // 5)) for n in range(3, 17)]  # Bertrand, Charon, Hudry, Lobstein 2004
+        + [("corona", m, m) for m in range(1, 9)],
+    )
+    def test_closed_forms(self, kind, n, ld):
+        # LD of P_n, C_n and P_m with a pendant on each vertex, past the
+        # set-based reference's reach
+        g = self._corona_path(n) if kind == "corona" else generate(kind, n)
+        w = min_locating_dominating(g)
+        assert w.size == w.witness.bit_count() == ld
+        assert is_locating_dominating(g, w.witness)
+
     def test_no_smaller_set(self):
         for g in random_graphs(10, 3, 6, seed0=151):
             l = min_locating(g)
