@@ -21,16 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BoundViolation,
-    DomainViolation,
-    NotGood,
-    NotMaximal,
-    Infeasible,
-    RefusedScale,
-    TwinsPresent,
-    VerificationFailed,
-)
+from .errors import BoundViolation, InvalidInput, RefusedScale, TwinsPresent, VerificationFailed
 from .graphs import Graph, is_twin_free, members, splitmix64
 from .location import (
     at_complements,
@@ -141,11 +132,11 @@ def thinning_move(g: Graph, a: int, u_class: int, u: int) -> int:
     property, this function only performs the absorption.
     """
     if u_class not in x_partition(g, a, g.complement_set(a)):
-        raise DomainViolation("u_class is not a class of the a-partition")
+        raise InvalidInput("u_class is not a class of the a-partition")
     if u_class.bit_count() < 2:
-        raise DomainViolation("u_class is trivial")
+        raise InvalidInput("u_class is trivial")
     if not u_class >> u & 1:
-        raise DomainViolation("u is not a member of u_class")
+        raise InvalidInput("u is not a member of u_class")
     return a | (u_class ^ 1 << u)
 
 
@@ -185,13 +176,13 @@ def derive_good_set(g: Graph, a: int, s_max: int | None = None) -> int:
 def _good_set(g: Graph, scored: ScoredSet, s_max: int | None = None) -> ScoredSet:
     """derive_good_set off a scored set, returning the good set scored."""
     if s_max is not None and scored.sum != s_max:
-        raise NotMaximal(f"score sum {scored.sum} != maximum {s_max}")
+        raise InvalidInput(f"score sum {scored.sum} != maximum {s_max}")
     r = representatives(scored.by_a)
     scored_r = score_sum(g, r)
     if scored_r.s_comp != r.bit_count():
-        raise Infeasible("representative set failed structural goodness")
+        raise VerificationFailed("representative set failed structural goodness")
     if s_max is not None and scored_r.sum != s_max:
-        raise NotMaximal("normalized set lost the maximum score sum")
+        raise VerificationFailed("normalized set lost the maximum score sum")
     return scored_r
 
 
@@ -273,7 +264,7 @@ def _max_score_full(g: Graph) -> tuple[int, int]:
                 best_k = k
                 best_good = r
     if best_good is None:
-        raise Infeasible("no maximizer of the score sum is a good set")
+        raise VerificationFailed("no maximizer of the score sum is a good set")
     return n - fewest, best_good
 
 
@@ -300,16 +291,16 @@ def build_z(g: Graph, a: int, a_part: tuple[int, ...]) -> int:
     z = 0
     while len(z_part) != k:
         if z.bit_count() >= k - 1:
-            raise Infeasible("separator exceeded k-1 vertices")
+            raise VerificationFailed("separator exceeded k-1 vertices")
         # find two a-classes merged under z
         inside = next((zc & probes for zc in z_part if (zc & probes).bit_count() >= 2), 0)
         if not inside:
-            raise Infeasible("class counts disagree but no merged pair found")
+            raise VerificationFailed("class counts disagree but no merged pair found")
         rest = inside & (inside - 1)
         pair = inside & -inside | rest & -rest  # its two smallest probes
         sep = next((w for w in members(a & ~z) if (g.adj[w] & pair).bit_count() == 1), None)
         if sep is None:
-            raise Infeasible("no separating vertex available in a \\ z")
+            raise VerificationFailed("no separating vertex available in a \\ z")
         z |= 1 << sep
         row = g.adj[sep]
         parts = (part for zc in z_part for part in (zc & row, zc & ~row) if part)
@@ -327,9 +318,9 @@ def _decompose(g: Graph, scored: ScoredSet, s_max: int | None = None) -> GoodDec
     of the complement, whose non-trivial classes are the a-partition of b."""
     a = scored.a
     if scored.s_comp != a.bit_count():
-        raise NotGood("complement-side partition of a has a non-trivial class")
+        raise InvalidInput("complement-side partition of a has a non-trivial class")
     if s_max is not None and scored.sum != s_max:
-        raise NotGood(f"score sum {scored.sum} != maximum {s_max}")
+        raise InvalidInput(f"score sum {scored.sum} != maximum {s_max}")
     b_part = tuple(cls for cls in scored.by_a if cls.bit_count() >= 2)
     b = sum(b_part)  # the classes are disjoint
     r_b = representatives(b_part)
@@ -337,7 +328,7 @@ def _decompose(g: Graph, scored: ScoredSet, s_max: int | None = None) -> GoodDec
     c = g.complement_set(a) & ~b
     a_prime = 0
     # at k = 0 the rest is a and its (r_b | c)-partition is by_comp, whose
-    # classes the NotGood check above found all trivial, so a_prime is empty
+    # classes the goodness check above found all trivial, so a_prime is empty
     if k:
         rep_side = r_b | c
         rest = g.complement_set(rep_side)  # a | (b \ r_b)
@@ -429,7 +420,7 @@ def construct_ld(
     checks against ceil(5n/8).
     """
     if mode not in ("exact", "heuristic"):
-        raise DomainViolation(f"unknown mode {mode!r}")
+        raise InvalidInput(f"unknown mode {mode!r}")
     certified = mode == "exact"
     if g.n == 0:
         return BoundReport((), 0, mode, certified, 0, 0, 0)

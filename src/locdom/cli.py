@@ -1,11 +1,13 @@
 """Command-line workbench: single-graph analysis, corpus sweeps, reports.
 
-Exit codes: 0 success, 2 parse error or any other locdom error (invalid
-parameter, failed re-verification), 3 twins present, 4 refused scale,
-5 bound violation, 1 anything else.  Single-graph commands print one JSON
-report; ``corpus`` streams JSON-lines records (one per input graph, in
-input order regardless of --jobs) and a CSV summary.  A record that fails
-gets an ``error`` field and the sweep goes on; it exits 2 at the end.
+Exit codes: 0 success.  A locdom error is one ``error:`` line and the code
+of its class in _EXIT_CODES: InvalidInput 2, VerificationFailed 2,
+TwinsPresent 3, RefusedScale 4, BoundViolation 5, LocdomError 2.  Any other
+exception is a bug and exits 1 with its traceback.  Single-graph commands
+print one JSON report; ``corpus`` streams JSON-lines records (one per input
+graph, in input order regardless of --jobs) and a CSV summary.  A record
+that fails gets an ``error`` field and the sweep goes on; it exits 5 if a
+record had a bound violation, which outranks the 2 of a failed record.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ from typing import Iterable, Iterator
 import click
 
 from . import bound, graphs, location, solver
-from .errors import (
-    BoundViolation,
-    InvalidParameter,
-    LocdomError,
-    RefusedScale,
-    TwinsPresent,
-    VerificationFailed,
-)
+from .errors import BoundViolation, InvalidInput, LocdomError, RefusedScale, TwinsPresent, VerificationFailed
 
 EXIT_PARSE = 2
 EXIT_TWINS = 3
@@ -50,7 +45,7 @@ def _open_output(path: str):
     try:
         return open(path, "w", encoding="ascii")
     except OSError as exc:
-        raise LocdomError(f"cannot write {path}: {exc}") from None
+        raise InvalidInput(f"cannot write {path}: {exc}") from None
 
 
 def _read_input(path: str) -> str:
@@ -60,19 +55,20 @@ def _read_input(path: str) -> str:
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise LocdomError(f"cannot read {path}: {exc}") from None
+        raise InvalidInput(f"cannot read {path}: {exc}") from None
 
 
 def _parse_graph_text(text: str) -> graphs.Graph:
-    """Auto-detect edge-list ('n <count>' header) vs graph6, which must hold
-    one graph line: a file of many is read by corpus."""
+    """Auto-detect edge-list (an 'n <count>' header, found by its first
+    token) vs graph6, which must hold one graph line: a file of many is read
+    by corpus."""
     lines = [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
     if not lines:
-        raise LocdomError("no graph found in input")
-    if lines[0].startswith("n "):
+        raise InvalidInput("no graph found in input")
+    if lines[0].split()[0] == "n":
         return graphs.parse_edge_list(text)
     if len(lines) > 1:
-        raise LocdomError(f"{len(lines)} graph6 lines, not one; use corpus to read many graphs")
+        raise InvalidInput(f"{len(lines)} graph6 lines, not one; use corpus to read many graphs")
     return graphs.decode_graph6(lines[0])
 
 
@@ -81,7 +77,7 @@ def _load_graph(path: str) -> graphs.Graph:
     try:
         return _parse_graph_text(text)
     except LocdomError as exc:
-        raise LocdomError(f"{path}: {exc}") from None
+        raise InvalidInput(f"{path}: {exc}") from None
 
 
 def _vs(s: int) -> list[int]:
@@ -401,12 +397,12 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
     """Sweep a corpus: SOURCE is a file of graph6 lines, '-' for stdin,
     or a generator spec 'all:N' for every labeled graph on N vertices."""
     if jobs < 1:
-        raise InvalidParameter(f"--jobs must be at least 1, got {jobs}")
+        raise InvalidInput(f"--jobs must be at least 1, got {jobs}")
     if source.startswith("all:"):
         try:
             n = int(source.split(":", 1)[1])
         except ValueError:
-            raise InvalidParameter(f"bad vertex count in {source!r}") from None
+            raise InvalidInput(f"bad vertex count in {source!r}") from None
         build, items = partial(graphs.labeled_graph, n), range(graphs.labeled_graph_count(n))
         line_numbers = range(1, len(items) + 1)
     else:
@@ -457,11 +453,11 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
 def gen(kind, n, p, seed, count) -> None:
     """Emit generated graphs as graph6 lines."""
     if count < 1:
-        raise InvalidParameter(f"--count must be at least 1, got {count}")
+        raise InvalidInput(f"--count must be at least 1, got {count}")
     if kind != "gnp":
         for name, given in (("--p", p is not None), ("--seed", seed is not None), ("--count", count != 1)):
             if given:
-                raise InvalidParameter(f"{name} applies to gnp only")
+                raise InvalidInput(f"{name} applies to gnp only")
     if kind == "all":
         for g in graphs.all_labeled_graphs(n):
             click.echo(graphs.encode_graph6(g))

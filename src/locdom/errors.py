@@ -1,60 +1,17 @@
-"""Exception hierarchy shared by all locdom modules."""
+"""Exception hierarchy shared by all locdom modules: one class per outcome
+that some caller tells apart."""
 
 
 class LocdomError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidEdge(LocdomError):
-    """An edge endpoint is outside the vertex range."""
-
-
-class LoopRejected(LocdomError):
-    """A self-loop was supplied; only simple graphs are supported."""
-
-
-class MalformedGraph6(LocdomError):
-    """The input is not a valid graph6 string."""
-
-
-class Unsupported(LocdomError):
-    """The graph order exceeds what the codec supports."""
-
-
-class MissingOrder(LocdomError):
-    """Edge-list input lacks the leading 'n <count>' header."""
-
-
-class ParseError(LocdomError):
-    """A token in a text input could not be parsed."""
-
-
-class InvalidParameter(LocdomError):
-    """A parameter is outside its valid range."""
+class InvalidInput(LocdomError):
+    """An input is outside its documented format, range or precondition."""
 
 
 class RefusedScale(LocdomError):
     """The requested computation exceeds the configured size ceiling."""
-
-
-class DomainViolation(LocdomError):
-    """An argument violates a documented precondition on its domain."""
-
-
-class PreconditionViolated(LocdomError):
-    """A semantic precondition (e.g. 'x is locating') does not hold."""
-
-
-class NotMaximal(LocdomError):
-    """The given set does not attain the known maximum score sum."""
-
-
-class NotGood(LocdomError):
-    """The given set is not a good set."""
-
-
-class Infeasible(LocdomError):
-    """A step that theory guarantees possible could not be completed."""
 
 
 class TwinsPresent(LocdomError):
@@ -66,4 +23,5 @@ class BoundViolation(LocdomError):
 
 
 class VerificationFailed(LocdomError):
-    """A result failed its independent re-check; this is an implementation bug."""
+    """A result failed its re-check, or a step the theory guarantees could
+    not be completed: a bug."""

@@ -14,16 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator
 
-from .errors import (
-    InvalidEdge,
-    InvalidParameter,
-    LoopRejected,
-    MalformedGraph6,
-    MissingOrder,
-    ParseError,
-    RefusedScale,
-    Unsupported,
-)
+from .errors import InvalidInput, RefusedScale
 
 GRAPH6_MAX_ORDER = 258047
 ENUM_MAX_ORDER = 7  # 2^21 graphs at n=7 is the practical full-enumeration ceiling
@@ -82,16 +73,23 @@ class TwinPair:
 def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicates collapse, loops are errors."""
     if n < 0:
-        raise InvalidParameter(f"negative vertex count {n}")
+        raise InvalidInput(f"negative vertex count {n}")
     adj = [0] * n
     for u, v in edges:
-        if u == v:
-            raise LoopRejected(f"loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidEdge(f"edge ({u}, {v}) outside range 0..{n - 1}")
+        if fault := _edge_fault(n, u, v):
+            raise InvalidInput(fault)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))
+
+
+def _edge_fault(n: int, u: int, v: int) -> str:
+    """Why (u, v) is not an edge of a simple graph on 0..n-1, or ''."""
+    if u == v:
+        return f"loop at vertex {u}"
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge ({u}, {v}) outside range 0..{n - 1}"
+    return ""
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +110,7 @@ def _encode_order(n: int) -> str:
         return chr(n + 63)
     if n <= GRAPH6_MAX_ORDER:
         return "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-    raise Unsupported(f"graph6 order {n} exceeds {GRAPH6_MAX_ORDER}")
+    raise InvalidInput(f"graph6 order {n} exceeds {GRAPH6_MAX_ORDER}")
 
 
 def encode_graph6(g: Graph) -> str:
@@ -134,15 +132,15 @@ def decode_graph6(text: str) -> Graph:
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
     if not line:
-        raise MalformedGraph6("empty graph6 string")
+        raise InvalidInput("empty graph6 string")
     bad = _G6_OUTSIDE.search(line)
     if bad:
-        raise MalformedGraph6(f"character {bad.group()!r} outside graph6 alphabet")
+        raise InvalidInput(f"character {bad.group()!r} outside graph6 alphabet")
     if line[0] == "~":  # extended order
         if line[1:2] == "~":
-            raise MalformedGraph6("8-byte order form not supported")
+            raise InvalidInput("8-byte order form not supported")
         if len(line) < 4:
-            raise MalformedGraph6("truncated extended order")
+            raise InvalidInput("truncated extended order")
         n = int(line[1:4].translate(_G6_BITS), 2)
         body = line[4:]
     else:
@@ -151,12 +149,12 @@ def decode_graph6(text: str) -> Graph:
     nbits = n * (n - 1) // 2
     nchunks = (nbits + 5) // 6
     if len(body) < nchunks:
-        raise MalformedGraph6(f"truncated bit stream: {len(body)} < {nchunks} chunks")
+        raise InvalidInput(f"truncated bit stream: {len(body)} < {nchunks} chunks")
     if len(body) > nchunks:
-        raise MalformedGraph6("trailing characters after adjacency bits")
+        raise InvalidInput("trailing characters after adjacency bits")
     bits = body.translate(_G6_BITS)
     if "1" in bits[nbits:]:
-        raise MalformedGraph6("nonzero padding bits")
+        raise InvalidInput("nonzero padding bits")
     return labeled_graph(n, int(bits[:nbits][::-1] or "0", 2))
 
 
@@ -175,21 +173,25 @@ def parse_edge_list(text: str) -> Graph:
         tokens = line.split()
         if n is None:
             if tokens[0] != "n" or len(tokens) != 2:
-                raise MissingOrder(f"line {lineno}: expected 'n <count>' header")
+                raise InvalidInput(f"line {lineno}: expected 'n <count>' header")
             try:
                 n = int(tokens[1])
             except ValueError:
-                raise ParseError(f"line {lineno}: bad vertex count {tokens[1]!r}")
+                raise InvalidInput(f"line {lineno}: bad vertex count {tokens[1]!r}")
+            if n < 0:
+                raise InvalidInput(f"line {lineno}: negative vertex count {n}")
             continue
         if len(tokens) != 2:
-            raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise InvalidInput(f"line {lineno}: expected 'u v', got {line!r}")
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer endpoint in {line!r}")
+            raise InvalidInput(f"line {lineno}: non-integer endpoint in {line!r}")
+        if fault := _edge_fault(n, u, v):
+            raise InvalidInput(f"line {lineno}: {fault}")
         pairs.append((u, v))
     if n is None:
-        raise MissingOrder("no 'n <count>' header found")
+        raise InvalidInput("no 'n <count>' header found")
     return new_graph(n, pairs)
 
 
@@ -221,9 +223,9 @@ GENERATOR_KINDS = ("path", "cycle", "complete", "gnp")
 def generate(kind: str, n: int, p: float | None = None, seed: int | None = None) -> Graph:
     """Deterministic graph generators: path, cycle, complete, gnp."""
     if kind not in GENERATOR_KINDS:
-        raise InvalidParameter(f"unknown generator kind {kind!r}")
+        raise InvalidInput(f"unknown generator kind {kind!r}")
     if n < 0:
-        raise InvalidParameter(f"negative vertex count {n}")
+        raise InvalidInput(f"negative vertex count {n}")
     if kind == "path":
         return new_graph(n, [(i, i + 1) for i in range(n - 1)])
     if kind == "cycle":
@@ -234,9 +236,9 @@ def generate(kind: str, n: int, p: float | None = None, seed: int | None = None)
         return new_graph(n, [(i, j) for j in range(n) for i in range(j)])
     # gnp
     if p is None or not 0.0 <= p <= 1.0:
-        raise InvalidParameter(f"gnp requires p in [0, 1], got {p!r}")
+        raise InvalidInput(f"gnp requires p in [0, 1], got {p!r}")
     if seed is None:
-        raise InvalidParameter("gnp requires a seed")
+        raise InvalidInput("gnp requires a seed")
     threshold = int(p * (1 << 64))
     state = seed & _M64
     pairs = []
@@ -251,11 +253,11 @@ def generate(kind: str, n: int, p: float | None = None, seed: int | None = None)
 def labeled_graph_count(n: int) -> int:
     """2^(n(n-1)/2), the number of labeled simple graphs on n vertices.
 
-    Raises as all_labeled_graphs does: InvalidParameter for n < 0 and
+    Raises as all_labeled_graphs does: InvalidInput for n < 0 and
     RefusedScale above ENUM_MAX_ORDER.
     """
     if n < 0:
-        raise InvalidParameter(f"negative vertex count {n}")
+        raise InvalidInput(f"negative vertex count {n}")
     if n > ENUM_MAX_ORDER:
         raise RefusedScale(f"full enumeration refused for n={n} > {ENUM_MAX_ORDER}")
     return 1 << n * (n - 1) // 2

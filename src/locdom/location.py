@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainViolation, PreconditionViolated
+from .errors import InvalidInput
 from .graphs import Graph, members
 
 
@@ -31,7 +31,7 @@ def x_partition(g: Graph, x: int, y: int) -> tuple[int, ...]:
     """Classes of y by equal trace on x, as bitmasks ordered by minimum
     member; y must lie within V \\ x."""
     if y & ~g.complement_set(x):
-        raise DomainViolation("y must be a subset of the complement of x")
+        raise InvalidInput("y must be a subset of the complement of x")
     groups: dict[int, int] = {}
     adj = g.adj
     while y:  # members(y), inlined: every set the bound scores comes through here
@@ -360,7 +360,7 @@ def extend_to_dominating(g: Graph, x: int) -> int:
     result is locating-dominating and at most one vertex larger.
     """
     if not is_locating(g, x):
-        raise PreconditionViolated("x is not locating")
+        raise InvalidInput("x is not locating")
     for v in members(g.complement_set(x)):
         if not g.adj[v] & x:
             return x | 1 << v

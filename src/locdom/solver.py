@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import InvalidParameter, RefusedScale
+from .errors import InvalidInput, RefusedScale
 from .graphs import Graph
 from .location import SIZE_COUNTERS, block_misses, first_split, least, miss_planes, score_table
 
@@ -212,7 +212,7 @@ def s_k_of_graph(g: Graph, k: int) -> SkResult:
     if g.n > SK_CEILING:
         raise RefusedScale(f"k-partition search refused for n={g.n} > {SK_CEILING}")
     if not 1 <= k <= g.n:
-        raise InvalidParameter(f"k={k} outside 1..{g.n}")
+        raise InvalidInput(f"k={k} outside 1..{g.n}")
     value = _completion(g, [1], k, 0)  # every partition has vertex 0 in block 0
     blocks = [1]
     for i in range(1, g.n):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -10,9 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 import locdom
-from locdom import bound, location, solver
+from locdom import bound, cli, errors, location, solver
 from locdom.cli import EXIT_BOUND, EXIT_PARSE, EXIT_SCALE, EXIT_TWINS, _in_order, _twin_free_fields, main
-from locdom.errors import VerificationFailed
+from locdom.errors import BoundViolation, VerificationFailed
 from locdom.graphs import all_labeled_graphs, encode_graph6, generate, is_twin_free
 
 from conftest import random_graphs
@@ -44,6 +45,17 @@ class TestCheck:
         rec = run_json(runner, ["check", "-"], input="n 4\n0 1\n1 2\n2 3\n")
         assert rec["graph_id"] == "Ch"
 
+    def test_edge_list_header_with_tab(self, runner):
+        # the header is found by its first token, as parse_edge_list reads it
+        rec = run_json(runner, ["check", "-"], input="n\t3\n0 1\n")
+        assert (rec["n"], rec["m"]) == (3, 1)
+
+    def test_edge_list_error_names_line(self, runner):
+        result = runner.invoke(main, ["check", "-"], input="n 3\n0 1\n1 1\n")
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: -: line 3: loop at vertex 1"]
+
     def test_malformed(self, runner):
         result = runner.invoke(main, ["check", "-"], input="C\x01\n")
         assert result.exit_code == EXIT_PARSE
@@ -74,6 +86,16 @@ class TestBound:
         assert result.exit_code == EXIT_SCALE
         assert result.stdout == ""
         assert result.stderr.splitlines() == ["error: exact maximization refused for n=4 > 3"]
+
+    def test_bound_violation_exit(self, runner, monkeypatch):
+        def violate(g, **kwargs):
+            raise BoundViolation("planted violation")
+
+        monkeypatch.setattr(bound, "construct_ld", violate)
+        result = runner.invoke(main, ["bound", "-"], input="Ch\n")
+        assert result.exit_code == EXIT_BOUND
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: planted violation"]
 
     def test_default_ceiling_certifies_n24(self, runner):
         # gen path 24 | bound -, at the default exact ceiling
@@ -291,8 +313,11 @@ class TestCorpus:
         assert records[0]["graph_id"] == "Ch" and records[2]["graph_id"] == "Dhc"
 
     @staticmethod
-    def _sweep_patched_on_c5(runner, tmp_path, monkeypatch, module, name, on_c5, args=()):
-        """Sweep P4, C5, P4 at --jobs 1, plus args, with module.name replaced by on_c5 on C5."""
+    def _sweep_patched_on_c5(
+        runner, tmp_path, monkeypatch, module, name, on_c5, args=(), last="Ch", exit_code=EXIT_PARSE
+    ):
+        """Sweep P4, C5 and last at --jobs 1, plus args, with module.name
+        replaced by on_c5 on C5, and check the exit code."""
         real = getattr(module, name)
 
         def patched(g, **kwargs):
@@ -300,13 +325,14 @@ class TestCorpus:
 
         monkeypatch.setattr(module, name, patched)
         src = tmp_path / "three.g6"
-        src.write_text("Ch\nDhc\nCh\n")
+        src.write_text(f"Ch\nDhc\n{last}\n")
         out = tmp_path / "reports.jsonl"
         result = runner.invoke(main, ["corpus", str(src), "--jobs", "1", "--out", str(out), *args])
-        assert result.exit_code == EXIT_PARSE
+        assert result.exit_code == exit_code
         records = [json.loads(line) for line in out.read_text().splitlines()]
-        assert [r["index"] for r in records] == [0, 1, 2]
-        assert records[0] == dict(records[2], index=0) and "error" not in records[2]
+        assert [r["index"] for r in records] == [0, 1, 2] and "error" not in records[0]
+        if last == "Ch":  # the records around C5 are untouched by the patch
+            assert records[0] == dict(records[2], index=0)
         return result, records
 
     @classmethod
@@ -323,6 +349,23 @@ class TestCorpus:
         result, records = self._sweep_failing_on_c5(runner, tmp_path, monkeypatch, exc)
         assert records[1]["error"] == "VerificationFailed: planted failure"
         assert result.stderr.splitlines() == ["error: line 2: VerificationFailed: planted failure"]
+
+    def test_bound_violation_outranks_parse_error(self, runner, tmp_path, monkeypatch):
+        def violate(g, **kwargs):
+            raise BoundViolation("planted violation")
+
+        result, records = self._sweep_patched_on_c5(
+            runner, tmp_path, monkeypatch, bound, "construct_ld", violate, last="bad!", exit_code=EXIT_BOUND
+        )
+        # no S, so q1_found comes from the bipartition search
+        assert records[1]["bound_violation"] == "planted violation"
+        assert "S" not in records[1] and records[1]["q1_found"] is True
+        assert records[2] == {"index": 2, "error": "character '!' outside graph6 alphabet", "input": "bad!"}
+        assert result.stdout.splitlines()[-1] == "5,1,1,2,1,0"
+        assert result.stderr.splitlines() == [
+            "error: line 3: character '!' outside graph6 alphabet",
+            "BOUND VIOLATION: Dhc",
+        ]
 
     def test_unexpected_error_isolated(self, runner, tmp_path, monkeypatch):
         # an exception that is not a LocdomError is recorded the same way
@@ -532,3 +575,31 @@ class TestQ1FromS:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         tf = [r for r in records if r["twin_free"]]
         assert len(tf) == 312 and all(r["mode"] == "exact" and r["q1_found"] for r in tf)
+
+
+# every class in locdom.errors and the exit code that README documents for it
+DOCUMENTED_EXIT_CODES = {
+    "LocdomError": EXIT_PARSE,
+    "InvalidInput": EXIT_PARSE,
+    "VerificationFailed": EXIT_PARSE,
+    "TwinsPresent": EXIT_TWINS,
+    "RefusedScale": EXIT_SCALE,
+    "BoundViolation": EXIT_BOUND,
+}
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass) if cls.__module__ == errors.__name__]
+
+
+def test_every_error_class_has_a_documented_code():
+    assert {cls.__name__ for cls in ERROR_CLASSES} == set(DOCUMENTED_EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_of_each_error_class(runner, monkeypatch, cls):
+    def fail(path):
+        raise cls("planted")
+
+    monkeypatch.setattr(cli, "_load_graph", fail)
+    result = runner.invoke(main, ["check", "-"], input="Ch\n")
+    assert result.exit_code == DOCUMENTED_EXIT_CODES[cls.__name__]
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["error: planted"]

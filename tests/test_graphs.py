@@ -1,15 +1,6 @@
 import pytest
 
-from locdom.errors import (
-    InvalidEdge,
-    InvalidParameter,
-    LoopRejected,
-    MalformedGraph6,
-    MissingOrder,
-    ParseError,
-    RefusedScale,
-    Unsupported,
-)
+from locdom.errors import InvalidInput, RefusedScale
 from locdom.graphs import (
     all_labeled_graphs,
     decode_graph6,
@@ -43,11 +34,11 @@ class TestNewGraph:
         assert g.edge_count == 1 and g.adj[0] == set_of([1])
 
     def test_out_of_range(self):
-        with pytest.raises(InvalidEdge):
+        with pytest.raises(InvalidInput, match=r"^edge \(0, 5\) outside range 0\.\.2$"):
             new_graph(3, [(0, 5)])
 
     def test_loop_rejected(self):
-        with pytest.raises(LoopRejected):
+        with pytest.raises(InvalidInput, match="^loop at vertex 1$"):
             new_graph(3, [(1, 1)])
 
     def test_symmetry_irreflexivity(self):
@@ -107,30 +98,33 @@ class TestGraph6:
             assert sorted(back.edges()) == sorted(tuple(sorted(e)) for e in g.edges())
 
     def test_bad_character(self):
-        with pytest.raises(MalformedGraph6):
+        # strip() takes \x1f for whitespace, so this is C with no bits
+        with pytest.raises(InvalidInput, match="truncated bit stream: 0 < 1 chunks"):
             decode_graph6("C\x1f")
+        with pytest.raises(InvalidInput, match="outside graph6 alphabet"):
+            decode_graph6("C\x01")
 
     def test_truncated(self):
-        with pytest.raises(MalformedGraph6):
+        with pytest.raises(InvalidInput, match="truncated bit stream: 0 < 3 chunks"):
             decode_graph6("E")  # n=6 needs bits
-        with pytest.raises(MalformedGraph6):
+        with pytest.raises(InvalidInput, match="truncated extended order"):
             decode_graph6("~??")  # extended order cut short
 
     def test_trailing_garbage(self):
-        with pytest.raises(MalformedGraph6):
+        with pytest.raises(InvalidInput, match="trailing characters after adjacency bits"):
             decode_graph6("Chh")
 
     def test_nonzero_padding(self):
         # n=2 uses 1 of 6 bits; "Aw" has pad bits 11000 set
-        with pytest.raises(MalformedGraph6):
+        with pytest.raises(InvalidInput, match="nonzero padding bits"):
             decode_graph6("Aw")
 
     def test_order_too_large(self):
         g = new_graph(0, [])
         big = g.__class__(258048, (0,) * 258048)
-        with pytest.raises(Unsupported):
+        with pytest.raises(InvalidInput, match="graph6 order 258048 exceeds 258047"):
             encode_graph6(big)
-        with pytest.raises(MalformedGraph6):
+        with pytest.raises(InvalidInput, match="8-byte order form not supported"):
             decode_graph6("~~??????")  # eight-character order form
 
 
@@ -144,16 +138,30 @@ class TestEdgeList:
         assert g.edge_count == 1
 
     def test_out_of_range(self):
-        with pytest.raises(InvalidEdge):
+        with pytest.raises(InvalidInput, match=r"edge \(0, 5\) outside range 0\.\.2"):
             parse_edge_list("n 3\n0 5")
 
     def test_missing_header(self):
-        with pytest.raises(MissingOrder):
+        with pytest.raises(InvalidInput, match="line 1: expected 'n <count>' header"):
             parse_edge_list("0 1\n1 2")
 
     def test_bad_token(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput, match="line 2: non-integer endpoint in '0 x'"):
             parse_edge_list("n 3\n0 x")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("n 3\n0 1\n1 1\n", r"line 3: loop at vertex 1"),
+            ("# P3?\nn 3\n\n1 7\n", r"line 4: edge \(1, 7\) outside range 0\.\.2"),
+            ("n -2\n", r"line 1: negative vertex count -2"),
+            ("n -2\n0 1\n", r"line 1: negative vertex count -2"),
+        ],
+        ids=["loop", "out-of-range", "negative", "negative-then-edge"],
+    )
+    def test_error_names_line(self, text, message):
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            parse_edge_list(text)
 
 
 class TestGenerate:
@@ -182,13 +190,13 @@ class TestGenerate:
         assert generate("gnp", 8, 1.0, seed=5).edge_count == 28
 
     def test_invalid_p(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidInput, match=r"gnp requires p in \[0, 1\], got 1\.5"):
             generate("gnp", 5, 1.5, seed=1)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidInput, match=r"gnp requires p in \[0, 1\], got None"):
             generate("gnp", 5, None, seed=1)
 
     def test_bad_kind(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidInput, match="unknown generator kind 'wheel'"):
             generate("wheel", 5)
 
     def test_empty(self):
@@ -213,7 +221,7 @@ class TestEnumeration:
             next(all_labeled_graphs(8))
 
     def test_negative_order(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidInput, match="negative vertex count -1"):
             next(all_labeled_graphs(-1))
 
     def test_labeled_graph_matches_reference(self):

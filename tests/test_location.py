@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from locdom.bound import score_sum
-from locdom.errors import DomainViolation, PreconditionViolated
+from locdom.errors import InvalidInput
 from locdom.graphs import new_graph, set_of
 from locdom.location import (
     BLOCK_BITS,
@@ -35,11 +35,11 @@ class TestXPartition:
         assert x_partition(c5, 0, c5.full_set) == (c5.full_set,)
 
     def test_overlap_rejected(self, p4):
-        with pytest.raises(DomainViolation):
+        with pytest.raises(InvalidInput, match="y must be a subset of the complement of x"):
             x_partition(p4, set_of([0]), set_of([0, 1]))
 
     def test_out_of_range_rejected(self, p4):
-        with pytest.raises(DomainViolation):
+        with pytest.raises(InvalidInput, match="y must be a subset of the complement of x"):
             x_partition(p4, 0, 1 << 4)
 
     def test_matches_reference(self):
@@ -141,7 +141,7 @@ class TestExtendToDominating:
         assert extend_to_dominating(k1, 0) == set_of([0])
 
     def test_precondition(self, p4):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(InvalidInput, match="x is not locating"):
             extend_to_dominating(p4, set_of([1]))
 
     def test_adds_at_most_one(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from locdom import solver
 from locdom.bound import max_score_exact, score_sum
-from locdom.errors import InvalidParameter, RefusedScale
+from locdom.errors import InvalidInput, RefusedScale
 from locdom.graphs import all_labeled_graphs, generate, is_twin_free, new_graph, set_of
 from locdom.location import (
     _nibble_tables,
@@ -260,9 +260,9 @@ class TestSk:
                 assert s_k_of_graph(g, k).value <= (k - 1) * g.n
 
     def test_k_out_of_range(self, p4):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidInput, match=r"k=5 outside 1\.\.4"):
             s_k_of_graph(p4, 5)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidInput, match=r"k=0 outside 1\.\.4"):
             s_k_of_graph(p4, 0)
 
     def test_refused_scale(self):
