@@ -33,6 +33,7 @@ from .location import (
     is_locating,
     least,
     miss_planes,
+    refine,
     representatives,
     vertex_planes,
     x_partition,
@@ -279,8 +280,9 @@ def build_z(g: Graph, a: int, a_part: tuple[int, ...]) -> int:
     them.  At most k-1 additions are needed.  The pair is the two smallest
     class minima in the first z-class, by minimum member, that holds two,
     and the separator the smallest such vertex.  The z-partition starts as
-    the one class b and is refined, not rebuilt: adding w splits each class
-    by N(w), and the parts are put back in minimum-member order.
+    the one class b and is refined, not rebuilt: adding w is one
+    location.refine step by N(w), the step x_partition takes on small
+    probe sets, which puts the parts back in minimum-member order.
     """
     k = len(a_part)
     if k <= 1:
@@ -302,9 +304,7 @@ def build_z(g: Graph, a: int, a_part: tuple[int, ...]) -> int:
         if sep is None:
             raise VerificationFailed("no separating vertex available in a \\ z")
         z |= 1 << sep
-        row = g.adj[sep]
-        parts = (part for zc in z_part for part in (zc & row, zc & ~row) if part)
-        z_part = sorted(parts, key=lambda cls: cls & -cls)
+        z_part = refine(z_part, (g.adj[sep],))
     return z
 
 

@@ -62,10 +62,10 @@ def _parse_graph_text(text: str) -> graphs.Graph:
     """Auto-detect edge-list (an 'n <count>' header, found by its first
     token) vs graph6, which must hold one graph line: a file of many is read
     by corpus."""
-    lines = [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
+    lines = [line for _, line in graphs.graph6_lines(text)]
     if not lines:
         raise InvalidInput("no graph found in input")
-    if lines[0].split()[0] == "n":
+    if lines[0].split()[:1] == ["n"]:
         return graphs.parse_edge_list(text)
     if len(lines) > 1:
         raise InvalidInput(f"{len(lines)} graph6 lines, not one; use corpus to read many graphs")
@@ -408,9 +408,9 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
     else:
         text = _read_input(source)
         build = graphs.decode_graph6
-        stripped = [line.strip() for line in text.splitlines()]
-        line_numbers = [i for i, line in enumerate(stripped, 1) if line and not line.startswith("#")]
-        items = [stripped[i - 1] for i in line_numbers]
+        numbered = graphs.graph6_lines(text)
+        line_numbers = [i for i, _ in numbered]
+        items = [line for _, line in numbered]
     opt = {
         "max_exact": max_exact,
         "solve_ceiling": solve_ceiling,

@@ -103,6 +103,10 @@ _G6_HEADER = ">>graph6<<"
 _G6_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 _G6_CHARS = {bits: chr(c) for c, bits in _G6_BITS.items()}
 _G6_OUTSIDE = re.compile(r"[^?-~]")  # '?' .. '~' are the 64 graph6 characters
+# graph6 text is split on "\n" and stripped of these alone (str.strip and
+# str.splitlines also take \x0b, \x0c and \x1c-\x1f), so every other
+# character reaches the alphabet check
+_G6_BLANKS = " \t\r\n"
 
 
 def _encode_order(n: int) -> str:
@@ -127,8 +131,15 @@ def encode_graph6(g: Graph) -> str:
     return order + "".join(_G6_CHARS[bits[i : i + 6]] for i in range(0, width, 6))
 
 
+def graph6_lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of graph6 text that are not '#' comments,
+    stripped, with their 1-based line numbers."""
+    numbered = enumerate((raw.strip(_G6_BLANKS) for raw in text.split("\n")), start=1)
+    return [(i, line) for i, line in numbered if line and not line.startswith("#")]
+
+
 def decode_graph6(text: str) -> Graph:
-    line = text.strip()
+    line = text.strip(_G6_BLANKS)
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
     if not line:

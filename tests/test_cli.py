@@ -417,6 +417,18 @@ class TestCorpus:
         assert records[1]["input"] == "bad!"
         assert result.stderr.splitlines() == [f"error: line 4: {records[1]['error']}"]
 
+    def test_control_character_is_one_bad_line(self, runner, tmp_path):
+        # \x1f is whitespace to str.strip, but in graph6 text it is a
+        # character outside the alphabet
+        src = tmp_path / "control.g6"
+        src.write_text("Ch\x1f\nDhc\n")
+        out = tmp_path / "reports.jsonl"
+        result = runner.invoke(main, ["corpus", str(src), "--out", str(out)])
+        assert result.exit_code == EXIT_PARSE
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["index"] for r in records] == [0, 1] and records[1]["n"] == 5
+        assert result.stderr.splitlines() == ["error: line 1: character '\\x1f' outside graph6 alphabet"]
+
     def test_indented_comment_skipped(self, runner, tmp_path):
         src = tmp_path / "commented.g6"
         src.write_text("Ch\n   # indented comment\nDhc\n")

@@ -67,6 +67,8 @@ class TestGraph6:
 
     def test_header_stripped(self):
         assert decode_graph6(">>graph6<<Ch").n == 4
+        # and so are the space, tab, CR and LF around a line
+        assert decode_graph6(" Ch\r\n") == decode_graph6("Ch")
 
     def test_roundtrip_corpus(self):
         for n in range(6):
@@ -98,11 +100,11 @@ class TestGraph6:
             assert sorted(back.edges()) == sorted(tuple(sorted(e)) for e in g.edges())
 
     def test_bad_character(self):
-        # strip() takes \x1f for whitespace, so this is C with no bits
-        with pytest.raises(InvalidInput, match="truncated bit stream: 0 < 1 chunks"):
-            decode_graph6("C\x1f")
-        with pytest.raises(InvalidInput, match="outside graph6 alphabet"):
-            decode_graph6("C\x01")
+        # only space, tab, CR and LF are stripped: str.strip would also take
+        # \x0b, \x0c and \x1c-\x1f, and decode the last two as P4
+        for text in ["C\x01", "C\x1f", "Ch\x1f", "\x1cCh\x0b"]:
+            with pytest.raises(InvalidInput, match="outside graph6 alphabet"):
+                decode_graph6(text)
 
     def test_truncated(self):
         with pytest.raises(InvalidInput, match="truncated bit stream: 0 < 3 chunks"):

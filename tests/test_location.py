@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from locdom.bound import score_sum
 from locdom.errors import InvalidInput
-from locdom.graphs import new_graph, set_of
+from locdom.graphs import generate, is_twin_free, new_graph, set_of
 from locdom.location import (
     BLOCK_BITS,
     SIZE_COUNTERS,
@@ -43,11 +45,36 @@ class TestXPartition:
             x_partition(p4, 0, 1 << 4)
 
     def test_matches_reference(self):
+        # x_partition refines y by the rows of x when 2^|x| <= |y| and groups
+        # y by trace otherwise; the cases below cover both sides
+        rng = random.Random(31)
+        cases = []
         for g in random_graphs(30, 2, 10, seed0=31):
+            cases += [(g, 0, g.full_set), (g, g.full_set, 0)]
             for x in range(0, 1 << g.n, 3):
-                y = g.complement_set(x)
-                got = [to_set(c) for c in x_partition(g, x, y)]
-                assert got == [set(c) for c in ref_partition(g, to_set(x), to_set(y))]
+                comp = g.complement_set(x)
+                cases += [(g, x, comp), (g, x, comp & rng.getrandbits(g.n)), (g, x, 0)]
+        # the switch point: 2^|x| = |y| is refined, 2^|x| = |y| + 1 is grouped
+        for g in random_graphs(12, 12, 14, seed0=33):
+            for size in (0, 1, 2, 3):
+                vertices = rng.sample(range(g.n), size + (1 << size))
+                x, y = to_mask(vertices[:size]), to_mask(vertices[size:])
+                cases += [(g, x, y), (g, x, y & y - 1)]
+        # twin-free gnp graphs with n = 60-200: up to four probes, and random x
+        for n in (60, 100, 150, 200):
+            for g in [g for g in (generate("gnp", n, 0.3, s) for s in range(1, 20)) if is_twin_free(g)][:2]:
+                for size in range(5):
+                    x = to_mask(rng.sample(range(n), size))
+                    comp = g.complement_set(x)
+                    cases += [(g, x, comp), (g, x, comp & rng.getrandbits(n))]
+                x = rng.getrandbits(n)
+                cases.append((g, x, g.complement_set(x)))
+        refined = 0
+        for g, x, y in cases:
+            refined += 1 << x.bit_count() <= y.bit_count()
+            got = [to_set(c) for c in x_partition(g, x, y)]
+            assert got == [set(c) for c in ref_partition(g, to_set(x), to_set(y))]
+        assert 0 < refined < len(cases)
 
     def test_disjoint_union_invariant(self):
         for g in random_graphs(10, 3, 8, seed0=37):
