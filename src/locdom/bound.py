@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BoundViolation, InvalidInput, RefusedScale, TwinsPresent, VerificationFailed
-from .graphs import Graph, is_twin_free, members, splitmix64
+from .graphs import Graph, is_twin_free, lane_bytes, members, splitmix64_lanes
 from .location import (
     at_complements,
     block_misses,
@@ -175,11 +175,20 @@ def derive_good_set(g: Graph, a: int, s_max: int | None = None) -> int:
 
 
 def _good_set(g: Graph, scored: ScoredSet, s_max: int | None = None) -> ScoredSet:
-    """derive_good_set off a scored set, returning the good set scored."""
+    """derive_good_set off a scored set, returning the good set scored.
+
+    When every class of the a-partition is a singleton, r is V \\ a, and
+    score_sum(g, r) would make the two x_partition calls that scored a made,
+    in the other order: its ScoredSet is scored's with the two partitions
+    swapped, which is taken instead.  The checks below read it either way.
+    """
     if s_max is not None and scored.sum != s_max:
         raise InvalidInput(f"score sum {scored.sum} != maximum {s_max}")
     r = representatives(scored.by_a)
-    scored_r = score_sum(g, r)
+    if r == g.complement_set(scored.a):
+        scored_r = ScoredSet(r, scored.by_comp, scored.by_a)
+    else:
+        scored_r = score_sum(g, r)
     if scored_r.s_comp != r.bit_count():
         raise VerificationFailed("representative set failed structural goodness")
     if s_max is not None and scored_r.sum != s_max:
@@ -386,14 +395,14 @@ def _pick_witness(candidates: tuple[Candidate, ...]) -> int:
     return best.vertex_set
 
 
+# byte b to the digit of its bit 0
+_LOW_BIT_DIGIT = bytes(ord("0") + (b & 1) for b in range(256))
+
+
 def _random_subset(n: int, seed: int) -> int:
-    state = seed
-    s = 0
-    for v in range(n):
-        state, out = splitmix64(state)
-        if out & 1:
-            s |= 1 << v
-    return s
+    """The set of the v < n whose splitmix64 output v from seed is odd."""
+    low = lane_bytes(splitmix64_lanes(seed, n), n, 0)
+    return int(low.translate(_LOW_BIT_DIGIT)[::-1] or b"0", 2)
 
 
 def locating_size_limit(n: int) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import sys
 import time
 import traceback
@@ -386,9 +387,22 @@ def _in_order(pool: Executor, fn, tasks: Iterable, window: int) -> Iterator:
         yield pending.popleft().result()
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @main.command()
 @click.argument("source")
-@click.option("--jobs", type=int, default=1)
+@click.option(
+    "--jobs",
+    type=int,
+    default=1,
+    help="worker processes at most; no more run than usable CPUs or chunks, "
+    "and the output is byte-identical at any count",
+)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--max-exact", type=int, default=bound.EXACT_CEILING_DEFAULT)
 @click.option("--solve-ceiling", type=int, default=solver.MIN_SET_CEILING)
@@ -416,15 +430,19 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
         "solve_ceiling": solve_ceiling,
         "q1": not no_q1,
     }
+    # a pool forks all its workers at the first submit, so it gets no more
+    # than can run at once or have a chunk to do; the output is the same
+    workers = min(jobs, _usable_cpus())
     # at least four chunks per worker, so a short corpus still spreads out
-    size = max(1, min(_CHUNK_MAX, len(items) // (4 * jobs)))
+    size = max(1, min(_CHUNK_MAX, len(items) // (4 * workers)))
+    workers = min(workers, -(-len(items) // size))
     tasks = ((build, i, items[i : i + size], opt) for i in range(0, len(items), size))
     tally = _Tally()
     with contextlib.ExitStack() as stack:
         sink = stack.enter_context(_open_output(out)) if out else sys.stdout
-        if jobs > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            chunks = _in_order(pool, _corpus_chunk, tasks, 2 * jobs)
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            chunks = _in_order(pool, _corpus_chunk, tasks, 2 * workers)
         else:
             chunks = map(_corpus_chunk, tasks)
         for lines, part in chunks:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import InvalidInput, RefusedScale
@@ -217,15 +218,53 @@ def parse_edge_list(text: str) -> Graph:
 #   output = z ^ (z >> 31)
 # (all arithmetic mod 2^64).  Pairs (u, v), u < v, are visited in
 # lexicographic order and the edge is present iff output < p * 2^64.
+#
+# The state after i steps is seed + i * 0x9E3779B97F4A7C15, so no draw
+# depends on another, and splitmix64_lanes computes a run of them at once,
+# each in its own 128-bit lane of one int (SIMD within a register): a 64-bit
+# lane times a 64-bit constant fits in its 128 bits, and the lane mask after
+# each xor-shift keeps the bits shifted in from the next lane out of the
+# product.  gnp draws one row (u, v > u) per run, continuing the count, so
+# no int is wider than one row of draws.
+
+_GAMMA = 0x9E3779B97F4A7C15
+_LANE = 128
 
 
-def splitmix64(state: int) -> tuple[int, int]:
-    """One step of splitmix64; returns (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _M64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return state, z ^ (z >> 31)
+def _lanes(value: int, count: int) -> int:
+    """value (below 2^128) in each of count lanes."""
+    return int.from_bytes(value.to_bytes(_LANE // 8, "little") * count, "little")
+
+
+def splitmix64_lanes(seed: int, count: int) -> int:
+    """Outputs 0..count-1 of splitmix64 from state seed (mod 2^64): output i,
+    drawn at state seed + (i+1) * gamma, is lane i, bits 128i..128i+63."""
+    # the states, unreduced (below 2^128 for any count this side of 2^63),
+    # doubled into place: lanes width.. are lanes 0.. plus width * gamma
+    states = (seed & _M64) + _GAMMA
+    width = 1
+    while width < count:
+        step = min(width, count - width)
+        states |= ((states & (1 << _LANE * step) - 1) + _lanes(width * _GAMMA, step)) << _LANE * width
+        width += step
+    mask = _lanes(_M64, count)
+    z = states & mask
+    z = (z ^ z >> 30) & mask
+    z = z * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ z >> 27) & mask
+    z = z * 0x94D049BB133111EB & mask
+    return (z ^ z >> 31) & mask
+
+
+def lane_bytes(lanes: int, count: int, offset: int) -> bytes:
+    """Byte offset (0..15) of each of count lanes, lane 0 first."""
+    return lanes.to_bytes(count * _LANE // 8, "little")[offset :: _LANE // 8]
+
+
+# byte 0 to b"1" and byte 1 to b"0" (bit 64 of a lane plus 2^64 - threshold
+# is 0 exactly when its output is below threshold); no other byte occurs
+_BELOW_DIGIT = bytes.maketrans(b"\x00\x01", b"10")
+_BELOW_FLAG = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 GENERATOR_KINDS = ("path", "cycle", "complete", "gnp")
@@ -250,15 +289,19 @@ def generate(kind: str, n: int, p: float | None = None, seed: int | None = None)
         raise InvalidInput(f"gnp requires p in [0, 1], got {p!r}")
     if seed is None:
         raise InvalidInput("gnp requires a seed")
-    threshold = int(p * (1 << 64))
+    over = (1 << 64) - int(p * (1 << 64))
+    adj = [0] * n
     state = seed & _M64
-    pairs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            state, out = splitmix64(state)
-            if out < threshold:
-                pairs.append((u, v))
-    return new_graph(n, pairs)
+    for u in range(n - 1):
+        count = n - 1 - u  # the pairs (u, v), v = u+1..n-1
+        # bit 64 of a lane is set iff its output is at least the threshold
+        above = lane_bytes(splitmix64_lanes(state, count) + _lanes(over, count), count, 8)
+        state = (state + count * _GAMMA) & _M64
+        adj[u] |= int(above.translate(_BELOW_DIGIT)[::-1], 2) << u + 1
+        bit = 1 << u
+        for v in compress(range(u + 1, n), above.translate(_BELOW_FLAG)):
+            adj[v] |= bit
+    return Graph(n, tuple(adj))
 
 
 def labeled_graph_count(n: int) -> int:

@@ -4,6 +4,9 @@ The trace of a vertex v with respect to a set X is N(v) & X.  Partitioning a
 set Y (disjoint from X) by equal trace yields the X-partition of Y; a set X
 is locating when that partition of the complement of X has only singleton
 classes, and dominating when every outside vertex has a non-empty trace.
+One walk over the complement (_outside_walk) notes a repeated trace and the
+vertex with the empty trace, and is_locating, is_locating_dominating and
+extend_to_dominating all read it.
 The same predicates over all subsets at once are bit planes: miss_planes,
 which the search for a split into two locating sets (first_split) and the
 solver's oracles share, and vertex_planes, the same planes split by vertex,
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInput
-from .graphs import Graph, members
+from .graphs import Graph
 
 
 def x_partition(g: Graph, x: int, y: int) -> tuple[int, ...]:
@@ -352,26 +355,34 @@ def score_table(g: Graph) -> bytearray:
     return table
 
 
-def is_locating(g: Graph, x: int) -> bool:
-    """All vertices outside x have pairwise distinct traces."""
+def _outside_walk(g: Graph, x: int) -> int | None:
+    """The one walk over V \\ x behind the locating predicates: None when
+    two outside vertices share a trace on x, else the outside vertex with
+    the empty trace as a one-vertex set, or 0 when there is none (a
+    locating x leaves at most one)."""
     y = g.complement_set(x)
     adj = g.adj
-    seen = set()
+    first: dict[int, int] = {}  # trace -> the vertex that has it
     while y:  # members(y), inlined as in x_partition: every witness check comes through here
         low = y & -y
         t = adj[low.bit_length() - 1] & x
-        if t in seen:
-            return False
-        seen.add(t)
+        if t in first:
+            return None
+        first[t] = low
         y ^= low
-    return True
+    return first.get(0, 0)
+
+
+def is_locating(g: Graph, x: int) -> bool:
+    """All vertices outside x have pairwise distinct traces."""
+    return _outside_walk(g, x) is not None
 
 
 def is_dominating(g: Graph, x: int) -> bool:
     """Every vertex outside x has a neighbor in x."""
     y = g.complement_set(x)
     adj = g.adj
-    while y:  # members(y), inlined as in is_locating
+    while y:  # members(y), inlined as in _outside_walk
         low = y & -y
         if not adj[low.bit_length() - 1] & x:
             return False
@@ -380,7 +391,8 @@ def is_dominating(g: Graph, x: int) -> bool:
 
 
 def is_locating_dominating(g: Graph, x: int) -> bool:
-    return is_locating(g, x) and is_dominating(g, x)
+    """Outside x, traces are pairwise distinct and none is empty."""
+    return _outside_walk(g, x) == 0
 
 
 def extend_to_dominating(g: Graph, x: int) -> int:
@@ -389,9 +401,7 @@ def extend_to_dominating(g: Graph, x: int) -> int:
     A locating set has at most one outside vertex with empty trace, so the
     result is locating-dominating and at most one vertex larger.
     """
-    if not is_locating(g, x):
+    undominated = _outside_walk(g, x)
+    if undominated is None:
         raise InvalidInput("x is not locating")
-    for v in members(g.complement_set(x)):
-        if not g.adj[v] & x:
-            return x | 1 << v
-    return x
+    return x | undominated

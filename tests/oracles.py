@@ -71,6 +71,33 @@ def ref_build_z(g, a_set, b_set):
     return z
 
 
+def ref_splitmix64(state):
+    """One step of splitmix64 as the comment in graphs.py defines it; returns (new_state, output)."""
+    mod = 1 << 64
+    state = (state + 0x9E3779B97F4A7C15) % mod
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % mod
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % mod
+    return state, z ^ (z >> 31)
+
+
+def ref_splitmix64_outputs(seed, count):
+    """The first count outputs of splitmix64 from state seed, one step at a time."""
+    state, out = seed, []
+    for _ in range(count):
+        state, z = ref_splitmix64(state)
+        out.append(z)
+    return out
+
+
+def ref_gnp_edges(n, p, seed):
+    """The gnp edge set built pair by pair: pairs (u, v), u < v, in
+    lexicographic order, each kept iff its output is below p * 2^64."""
+    outputs = iter(ref_splitmix64_outputs(seed, n * (n - 1) // 2))
+    threshold = int(p * (1 << 64))
+    return {(u, v) for u in range(n) for v in range(u + 1, n) if next(outputs) < threshold}
+
+
 def ref_is_locating(g, x_set):
     nbr = neighborhoods(g)
     comp = set(range(g.n)) - x_set

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from locdom.bound import (
+    _good_set,
     _max_score_full,
+    _random_subset,
     build_z,
     candidate_sets,
     construct_ld,
@@ -28,12 +30,13 @@ from locdom.location import (
     is_locating,
     is_locating_dominating,
     miss_planes,
+    representatives,
     score_table,
     x_partition,
 )
 
 from conftest import random_graphs, small_graphs
-from oracles import ref_build_z, ref_max_score, ref_s, ref_score_sum, to_mask, to_set
+from oracles import ref_build_z, ref_max_score, ref_s, ref_score_sum, ref_splitmix64_outputs, to_mask, to_set
 
 # good sets with two non-trivial complement classes (graphs have twins, which
 # the decomposition itself permits; only the full bound pipeline forbids them)
@@ -344,6 +347,19 @@ class TestDeriveGoodSet:
                 r = derive_good_set(g, a)
                 assert score_sum(g, r).s_comp == r.bit_count()
 
+    def test_good_set_scored_as_score_sum(self):
+        # where r is V \ a the good set is a's ScoredSet with its partitions
+        # swapped, not a second scoring: it must equal the scoring of r
+        swapped = 0
+        for n in range(6):
+            for g in all_labeled_graphs(n):
+                for a in range(1 << n):
+                    scored = score_sum(g, a)
+                    r = representatives(scored.by_a)
+                    assert _good_set(g, scored) == score_sum(g, r)
+                    swapped += r == g.complement_set(a)
+        assert swapped > 10000
+
 
 class TestDecompose:
     def test_p4_all_trivial(self, p4):
@@ -559,6 +575,13 @@ class TestConstruct:
         assert len(rows) == 18
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "18f9971681fe13f2c464d4547024f4e4c4158b954444fb57ff8ebcb465bbf850"
+
+    def test_random_start_matches_reference(self):
+        # vertex v is in the seeded start iff splitmix64 output v is odd
+        for seed in (0, 1, 0x5EED, 2**64 - 1, -5, 2**70):
+            outputs = ref_splitmix64_outputs(seed, 130)
+            for n in range(131):
+                assert _random_subset(n, seed) == to_mask(v for v in range(n) if outputs[v] & 1), (n, seed)
 
     def test_heuristic_vs_exact(self):
         # heuristic witness is a valid locating set, never smaller than L(G)

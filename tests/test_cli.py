@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -519,7 +519,7 @@ class TestCorpus:
         assert outs[0].count(b"\n") == 1024
 
     def test_malformed_line_in_pool(self, runner, tmp_path):
-        # 40 records make chunks of 5 at --jobs 2; line 23 sits inside one
+        # 40 records make chunks of 5 at --jobs 2 (with two usable CPUs); line 23 sits inside one
         lines = [encode_graph6(generate("path", 4 + i % 3)) for i in range(40)]
         lines[22] = "C\x01bad"
         src = tmp_path / "mixed.g6"
@@ -533,6 +533,55 @@ class TestCorpus:
         assert all("error" not in r for i, r in enumerate(records) if i != 22)
         assert result.stderr.splitlines() == [f"error: line 23: {records[22]['error']}"]
         assert result.stdout.splitlines()[-1] == "6,13,13,3,0,0"
+
+    @pytest.mark.parametrize(
+        "source, jobs, cpus, workers",
+        [
+            ("all:4", 5000, 4, 4),  # 64 records in 16 chunks: as many workers as CPUs
+            ("all:4", 3, 8, 3),  # fewer jobs than CPUs: the jobs
+            ("two", 5000, 8, 2),  # two records: one worker per chunk
+            ("one", 5000, 8, None),  # one chunk: in process, no pool
+            ("all:4", 5000, 1, None),  # one CPU: in process, no pool
+        ],
+    )
+    def test_workers_capped(self, runner, tmp_path, monkeypatch, source, jobs, cpus, workers):
+        # a pool forks all its workers at the first submit, so it must be no
+        # larger than the CPUs or the chunks; the stand-in records its size
+        # and runs every task in process, so no process is started here
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, task):
+                future = Future()
+                future.set_result(fn(task))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        if not source.startswith("all:"):
+            path = tmp_path / f"{source}.g6"
+            path.write_text("Ch\nDhc\n" if source == "two" else "Ch\n")
+            source = str(path)
+        outs = []
+        for j in (1, jobs):
+            out = tmp_path / f"{j}.jsonl"
+            result = runner.invoke(main, ["corpus", source, "--jobs", str(j), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outs.append(out.read_bytes())
+        assert started == ([] if workers is None else [workers])
+        assert outs[0] == outs[1]
+
+    def test_usable_cpus(self):
+        assert 1 <= cli._usable_cpus() <= (os.cpu_count() or 1)
 
     def test_window_bounds_pulled_tasks(self):
         pulled = 0

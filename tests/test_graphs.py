@@ -13,10 +13,13 @@ from locdom.graphs import (
     new_graph,
     parse_edge_list,
     set_of,
+    splitmix64_lanes,
 )
 
 from conftest import random_graphs
-from oracles import ref_labeled_edges, ref_twins, to_set
+from oracles import ref_gnp_edges, ref_labeled_edges, ref_splitmix64_outputs, ref_twins, to_set
+
+SEEDS = (0, 1, 2**64 - 1, -5, 2**70)
 
 
 class TestNewGraph:
@@ -203,6 +206,34 @@ class TestGenerate:
 
     def test_empty(self):
         assert generate("path", 0).n == 0
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.999, 1.0])
+    def test_gnp_matches_pairwise_reference(self, p):
+        for n in [*range(15), 40, 120]:
+            for seed in SEEDS[: 2 if n > 14 else None]:
+                assert set(generate("gnp", n, p, seed).edges()) == ref_gnp_edges(n, p, seed), (n, seed)
+
+
+def unpack_lanes(lanes, count):
+    """The count 128-bit lanes of a packed int, lane 0 first."""
+    raw = lanes.to_bytes(16 * count, "little")
+    return [int.from_bytes(raw[i : i + 16], "little") for i in range(0, 16 * count, 16)]
+
+
+class TestSplitmix64Lanes:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_one_step_reference(self, seed):
+        for count in [*range(131), 199, 19900]:
+            lanes = splitmix64_lanes(seed, count)
+            assert lanes >> 128 * count == 0, count  # nothing past the last lane
+            assert unpack_lanes(lanes, count) == ref_splitmix64_outputs(seed, count), count
+
+    def test_runs_continue(self):
+        # a run from seed + i * gamma is the tail of the run from seed, as gnp's rows use it
+        whole = ref_splitmix64_outputs(3, 300)
+        for i in (1, 64, 299):
+            tail = splitmix64_lanes(3 + i * 0x9E3779B97F4A7C15, 300 - i)
+            assert unpack_lanes(tail, 300 - i) == whole[i:]
 
 
 class TestEnumeration:

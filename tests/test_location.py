@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from locdom.bound import score_sum
 from locdom.errors import InvalidInput
-from locdom.graphs import generate, is_twin_free, new_graph, set_of
+from locdom.graphs import all_labeled_graphs, generate, is_twin_free, new_graph, set_of
 from locdom.location import (
     BLOCK_BITS,
     SIZE_COUNTERS,
@@ -23,7 +23,7 @@ from locdom.location import (
 )
 
 from conftest import random_graphs, small_graphs
-from oracles import ref_is_dominating, ref_is_locating, ref_partition, ref_s, to_mask, to_set
+from oracles import ref_is_dominating, ref_is_locating, ref_partition, ref_s, ref_trace, to_mask, to_set
 
 
 class TestXPartition:
@@ -179,6 +179,26 @@ class TestExtendToDominating:
                 ext = extend_to_dominating(g, x)
                 assert is_locating_dominating(g, ext)
                 assert ext.bit_count() <= x.bit_count() + 1
+
+
+def test_outside_walk_readers_match_reference():
+    # is_locating, is_locating_dominating and extend_to_dominating read one
+    # walk over V \ x; each must agree with the set-based oracles on every
+    # labeled graph with n <= 5 and every x
+    for n in range(6):
+        for g in all_labeled_graphs(n):
+            for x in range(1 << n):
+                x_set = to_set(x)
+                locating = ref_is_locating(g, x_set)
+                assert is_locating(g, x) == locating
+                assert is_locating_dominating(g, x) == (locating and ref_is_dominating(g, x_set))
+                if not locating:
+                    with pytest.raises(InvalidInput, match="x is not locating"):
+                        extend_to_dominating(g, x)
+                    continue
+                undominated = {v for v in set(range(n)) - x_set if not ref_trace(g, v, x_set)}
+                assert len(undominated) <= 1
+                assert extend_to_dominating(g, x) == to_mask(x_set | undominated)
 
 
 class TestRepresentatives:
