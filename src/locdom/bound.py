@@ -19,7 +19,7 @@ Z-classes by one neighborhood per vertex it adds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BoundViolation, InvalidInput, RefusedScale, TwinsPresent, VerificationFailed
 from .graphs import Graph, is_twin_free, lane_bytes, members, splitmix64_lanes
@@ -44,8 +44,7 @@ EXACT_CEILING_DEFAULT = 24
 CANDIDATE_TAGS = ("eq1", "eq2", "eq3", "eq4")
 
 
-@dataclass(frozen=True)
-class ScoredSet:
+class ScoredSet(NamedTuple):
     """A subset a with its two trace partitions, as x_partition orders them.
 
     by_a: the a-partition of V \\ a; by_comp: the (V \\ a)-partition of a.
@@ -69,8 +68,7 @@ class ScoredSet:
         return self.s_a + self.s_comp
 
 
-@dataclass(frozen=True)
-class GoodDecomposition:
+class GoodDecomposition(NamedTuple):
     """A good set ``a`` with its derived anatomy.
 
     b: union of the non-trivial classes of the a-partition of the complement;
@@ -92,16 +90,14 @@ class GoodDecomposition:
     s_value: int
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     tag: str
     vertex_set: int
     size: int
     locating: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of a bound construction run."""
 
     candidates: tuple[Candidate, ...]

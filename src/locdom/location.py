@@ -22,9 +22,9 @@ over such r, and score_table counts the first vertex of each trace class.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidInput
 from .graphs import Graph
@@ -141,7 +141,9 @@ SIZE_COUNTERS = _size_counters()
 
 
 def _miss(tables: tuple[tuple[int, ...], ...], m: int) -> int:
-    """The plane "x misses m" for m below 2^c: one lookup per nibble of m."""
+    """The plane "x misses m" for m below 2^c: one lookup per nibble of m.
+    miss_planes and its pair loop inline it; the tests check the tables
+    through it."""
     plane = tables[0][m & 15]
     for table in tables[1:]:
         m >>= 4
@@ -149,8 +151,7 @@ def _miss(tables: tuple[tuple[int, ...], ...], m: int) -> int:
     return plane
 
 
-@dataclass(frozen=True)
-class MissPlanes:
+class MissPlanes(NamedTuple):
     """Planes over the subsets x of the c = min(n, BLOCK_BITS) lowest vertices.
 
     Two vertices u < v are both outside a set a with equal traces iff a
@@ -173,24 +174,25 @@ class MissPlanes:
     dominated: tuple[tuple[int, int], ...]
 
 
-def _or_pair_planes(g: Graph, c: int, groups_of: Callable[[int], dict[int, int]]) -> None:
+def _or_pair_planes(g: Graph, c: int, groups: Sequence[dict[int, int]]) -> None:
     """OR the plane "x misses the low part of M_uv" of every pair u < v
-    into groups_of(v)[M_uv >> c], a dict from high parts to planes."""
+    into groups[v][M_uv >> c], a dict from high parts to planes."""
     tables, _ = _nibble_tables(c)
     first, rest = tables[0], tables[1:]
     low_part = (1 << c) - 1
     adj = g.adj
     for v, row in enumerate(adj):
-        groups = groups_of(v)
+        target = groups[v]
+        bit = 1 << v
         for u in range(v):
-            m = adj[u] ^ row | 1 << u | 1 << v
+            m = adj[u] ^ row | 1 << u | bit
             high = m >> c
             m &= low_part
             plane = first[m & 15]  # _miss, inlined: this loop runs once per pair
             for table in rest:
                 m >>= 4
                 plane &= table[m & 15]
-            groups[high] = groups.get(high, 0) | plane
+            target[high] = target.get(high, 0) | plane
 
 
 @lru_cache(maxsize=1)
@@ -199,16 +201,25 @@ def miss_planes(g: Graph) -> MissPlanes:
     keyed by the frozen Graph): the exact bound's split search and the
     solver's oracles, called in turn on one graph as a corpus record does,
     build them once.  It holds one plane per high part in each grouping,
-    not one per vertex."""
+    not one per vertex.  The pair loop takes the one dict located as the
+    target of every vertex, and each N[v] plane is ORed into a copy of it,
+    with _miss inlined as in the pair loop."""
     c = min(g.n, BLOCK_BITS)
     tables, absent = _nibble_tables(c)
+    first, rest = tables[0], tables[1:]
     low_part = (1 << c) - 1
     located: dict[int, int] = {}
-    _or_pair_planes(g, c, lambda v: located)
+    _or_pair_planes(g, c, [located] * g.n)
     dominated = dict(located)
     for v, row in enumerate(g.adj):
         m = row | 1 << v
-        dominated[m >> c] = dominated.get(m >> c, 0) | _miss(tables, m & low_part)
+        high = m >> c
+        m &= low_part
+        plane = first[m & 15]
+        for table in rest:
+            m >>= 4
+            plane &= table[m & 15]
+        dominated[high] = dominated.get(high, 0) | plane
     return MissPlanes(c, absent, tuple(located.items()), tuple(dominated.items()))
 
 
@@ -220,7 +231,7 @@ def vertex_planes(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
     of some earlier vertex.  block_vertex_planes reads them.
     """
     groups: list[dict[int, int]] = [{} for _ in range(g.n)]
-    _or_pair_planes(g, min(g.n, BLOCK_BITS), groups.__getitem__)
+    _or_pair_planes(g, min(g.n, BLOCK_BITS), groups)
     return tuple(tuple(d.items()) for d in groups)
 
 

@@ -33,9 +33,8 @@ up to k - 1 only and asking for every k in turn builds each once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidInput, RefusedScale
 from .graphs import Graph
@@ -46,21 +45,18 @@ PARTITION2_CEILING = 20
 SK_CEILING = 12
 
 
-@dataclass(frozen=True)
-class OptimumWitness:
+class OptimumWitness(NamedTuple):
     size: int
     witness: int
 
 
-@dataclass(frozen=True)
-class PartitionWitness:
+class PartitionWitness(NamedTuple):
     x: int
     y: int
     found: bool
 
 
-@dataclass(frozen=True)
-class SkResult:
+class SkResult(NamedTuple):
     value: int
     witness_partition: tuple[int, ...]
 
@@ -79,6 +75,9 @@ def _min_good(g: Graph, dominating: bool, ceiling: int) -> OptimumWitness:
     c = planes.c
     full = (1 << (1 << c)) - 1
     groups = planes.dominated if dominating else planes.located
+    # a subset of the c low vertices has at most c members, so the counters
+    # above c.bit_length() are 0 wherever least reads them
+    sizes = SIZE_COUNTERS[: c.bit_length()]
     best_size, best = g.n + 1, 0
     for h in range(1 << (g.n - c)):
         high_size = h.bit_count()
@@ -87,7 +86,7 @@ def _min_good(g: Graph, dominating: bool, ceiling: int) -> OptimumWitness:
         good = full ^ block_misses(groups, h)
         if not good:
             continue
-        low_size, cand = least(SIZE_COUNTERS, good)
+        low_size, cand = least(sizes, good)
         if high_size + low_size > best_size:
             continue
         # combinations order among equal sizes: the set holding the smallest

@@ -89,6 +89,23 @@ class TestScoreSum:
                     assert (s.s_a, s.s_comp) == (ref_s(g, to_set(a)), ref_s(g, to_set(comp)))
 
 
+@pytest.mark.parametrize(
+    "record,field",
+    [
+        (miss_planes, "located"),  # the memo's entry, shared by every caller
+        (construct_ld, "witness"),
+        (lambda g: score_sum(g, 1), "by_a"),
+    ],
+    ids=["MissPlanes", "BoundReport", "ScoredSet"],
+)
+def test_records_immutable(p4, record, field):
+    r = record(p4)
+    hash(r)
+    with pytest.raises(AttributeError):
+        setattr(r, field, getattr(r, field))
+    assert record(p4) == r
+
+
 class TestThinningMove:
     def test_p4_keep_min(self, p4):
         a2 = thinning_move(p4, set_of([0]), set_of([2, 3]), 2)

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import json
 import os
@@ -112,7 +111,7 @@ class TestBound:
 BAD_WITNESS_PATCHES = {
     "bound": (
         "r = bound.construct_ld\n"
-        "bound.construct_ld = lambda *a, **k: dataclasses.replace(r(*a, **k), witness=0)\n",
+        "bound.construct_ld = lambda *a, **k: r(*a, **k)._replace(witness=0)\n",
         "error: locating witness failed",
     ),
     "solve": (
@@ -131,7 +130,6 @@ BAD_WITNESS_PATCHES = {
 def test_bad_witness_caught_under_optimize(command):
     patch, message = BAD_WITNESS_PATCHES[command]
     script = (
-        "import dataclasses\n"
         "from locdom import bound, cli, solver\n"
         + patch
         + f"cli.main([{command!r}, '-'])\n"
@@ -212,7 +210,7 @@ class TestQuestionTools:
         # so the search is made to report none
         real = solver.two_locating_partition
         monkeypatch.setattr(
-            solver, "two_locating_partition", lambda g: dataclasses.replace(real(g), x=0, y=0, found=False)
+            solver, "two_locating_partition", lambda g: real(g)._replace(x=0, y=0, found=False)
         )
         for g6, note in (("Ch", True), ("Cl", False)):  # P4 is twin-free, C4 is not
             result = runner.invoke(main, ["partition2", "-"], input=g6 + "\n")
@@ -619,7 +617,7 @@ class TestQ1FromS:
         # P4 splits into two locating sets, but the record believes its S
         real = bound.construct_ld
         monkeypatch.setattr(
-            bound, "construct_ld", lambda g, **kw: dataclasses.replace(real(g, **kw), s_value=g.n - 1)
+            bound, "construct_ld", lambda g, **kw: real(g, **kw)._replace(s_value=g.n - 1)
         )
         record = {}
         _twin_free_fields(generate("path", 4), self.OPT, record)

@@ -85,6 +85,16 @@ class TestMinSets:
         assert w.size == w.witness.bit_count() == ld
         assert is_locating_dominating(g, w.witness)
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_edgeless(self, n):
+        # every vertex of E_n has the empty trace, so a locating set leaves
+        # out one vertex and a locating-dominating set none; the sizes reach
+        # the top counter of |x| that a block of c = n vertices can need
+        g = new_graph(n, [])
+        l, ld = min_locating(g), min_locating_dominating(g)
+        assert (l.size, l.witness) == (n - 1, (1 << n - 1) - 1)
+        assert (ld.size, ld.witness) == (n, (1 << n) - 1)
+
     def test_no_smaller_set(self):
         for g in random_graphs(10, 3, 6, seed0=151):
             l = min_locating(g)
