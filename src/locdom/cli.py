@@ -93,9 +93,11 @@ def _dumps(record: dict) -> str:
     return _ENCODER.encode(record)
 
 
-def _base_record(g: graphs.Graph) -> dict:
+def _base_record(g: graphs.Graph, graph_id: str | None = None) -> dict:
+    """The fields of every record; graph_id is the graph6 of g, encoded
+    here when the caller does not already have it."""
     return {
-        "graph_id": graphs.encode_graph6(g),
+        "graph_id": graphs.encode_graph6(g) if graph_id is None else graph_id,
         "n": g.n,
         "m": g.edge_count,
         "twin_free": graphs.is_twin_free(g),
@@ -309,8 +311,8 @@ def _corpus_chunk(task: tuple) -> tuple[str, _Tally]:
     """The records of one chunk as JSON lines, and their tally.
 
     task is (build, first, items, opt): item i of items is record first + i,
-    and build turns it into its graph (decode_graph6 for the lines of a
-    file, labeled_graph(n, .) for the pattern indices of all:N).
+    and build turns it into its graph and graph6 id (_file_graph for the
+    lines of a file, _pattern_graph(n, .) for the pattern indices of all:N).
     """
     build, first, items, opt = task
     lines = []
@@ -322,15 +324,26 @@ def _corpus_chunk(task: tuple) -> tuple[str, _Tally]:
     return "".join(lines), tally
 
 
+def _file_graph(line: str) -> tuple[graphs.Graph, str]:
+    """A graph6 line's graph, and its graph6 encoded again from the graph."""
+    g = graphs.decode_graph6(line)
+    return g, graphs.encode_graph6(g)
+
+
+def _pattern_graph(n: int, m: int) -> tuple[graphs.Graph, str]:
+    """Graph m of all:n, and its graph6 encoded from m itself."""
+    return graphs.labeled_graph(n, m), graphs.encode_pattern(n, m)
+
+
 def _corpus_record(build, index: int, item, opt: dict) -> dict:
     record: dict = {"index": index}
     try:
-        g = build(item)
+        g, graph_id = build(item)
     except LocdomError as exc:
         record["error"] = str(exc)
         record["input"] = item
         return record
-    record.update(_base_record(g))
+    record.update(_base_record(g, graph_id))
     if record["twin_free"]:
         try:
             _twin_free_fields(g, opt, record)
@@ -417,11 +430,11 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
             n = int(source.split(":", 1)[1])
         except ValueError:
             raise InvalidInput(f"bad vertex count in {source!r}") from None
-        build, items = partial(graphs.labeled_graph, n), range(graphs.labeled_graph_count(n))
+        build, items = partial(_pattern_graph, n), range(graphs.labeled_graph_count(n))
         line_numbers = range(1, len(items) + 1)
     else:
         text = _read_input(source)
-        build = graphs.decode_graph6
+        build = _file_graph
         numbered = graphs.graph6_lines(text)
         line_numbers = [i for i, _ in numbered]
         items = [line for _, line in numbered]

@@ -124,19 +124,28 @@ def _encode_order(n: int) -> str:
 
 
 def encode_graph6(g: Graph) -> str:
-    """The order, then the triangle pattern of g (labeled_graph's m) as the
-    bit stream: bit t of m is the t-th bit, padded to whole chunks.
+    """The graph6 text of g: encode_pattern of its triangle pattern, the m
+    with labeled_graph(g.n, m) == g."""
+    if g.n > GRAPH6_MAX_ORDER:
+        _encode_order(g.n)  # raises before a pattern of that many bits is built
+    adj = g.adj
+    m = 0
+    for j in range(1, g.n):
+        m |= (adj[j] & (1 << j) - 1) << (j * (j - 1) >> 1)
+    return encode_pattern(g.n, m)
+
+
+def encode_pattern(n: int, m: int) -> str:
+    """The graph6 text of labeled_graph(n, m): the order, then the triangle
+    pattern m as the bit stream, bit t of m the t-th bit, padded to whole
+    chunks.
 
     Each 3 bytes of m, little-endian, hold 4 whole chunks, their first bits
     lowest, so each chunk is one lookup in a table of bit-reversed chunk
     characters: linear in the bit count.
     """
-    order = _encode_order(g.n)  # first, so too large an order raises at once
-    adj = g.adj
-    m = 0
-    for j in range(1, g.n):
-        m |= (adj[j] & (1 << j) - 1) << (j * (j - 1) >> 1)
-    nbits = g.n * (g.n - 1) // 2
+    order = _encode_order(n)  # first, so too large an order raises at once
+    nbits = n * (n - 1) // 2
     data = m.to_bytes(-(-nbits // 24) * 3, "little")
     chars = _G6_REVERSED
     out = [order]

@@ -140,17 +140,6 @@ def _size_counters() -> tuple[int, ...]:
 SIZE_COUNTERS = _size_counters()
 
 
-def _miss(tables: tuple[tuple[int, ...], ...], m: int) -> int:
-    """The plane "x misses m" for m below 2^c: one lookup per nibble of m.
-    miss_planes and its pair loop inline it; the tests check the tables
-    through it."""
-    plane = tables[0][m & 15]
-    for table in tables[1:]:
-        m >>= 4
-        plane &= table[m & 15]
-    return plane
-
-
 class MissPlanes(NamedTuple):
     """Planes over the subsets x of the c = min(n, BLOCK_BITS) lowest vertices.
 
@@ -188,7 +177,7 @@ def _or_pair_planes(g: Graph, c: int, groups: Sequence[dict[int, int]]) -> None:
             m = adj[u] ^ row | 1 << u | bit
             high = m >> c
             m &= low_part
-            plane = first[m & 15]  # _miss, inlined: this loop runs once per pair
+            plane = first[m & 15]  # one lookup per nibble, inlined: this loop runs once per pair
             for table in rest:
                 m >>= 4
                 plane &= table[m & 15]
@@ -203,7 +192,7 @@ def miss_planes(g: Graph) -> MissPlanes:
     build them once.  It holds one plane per high part in each grouping,
     not one per vertex.  The pair loop takes the one dict located as the
     target of every vertex, and each N[v] plane is ORed into a copy of it,
-    with _miss inlined as in the pair loop."""
+    with the nibble lookups inlined as in the pair loop."""
     c = min(g.n, BLOCK_BITS)
     tables, absent = _nibble_tables(c)
     first, rest = tables[0], tables[1:]

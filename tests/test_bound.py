@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from locdom.bound import (
+    _empty_start,
     _good_set,
     _max_score_full,
     _random_subset,
@@ -24,7 +25,15 @@ from locdom.bound import (
     thinning_move,
 )
 from locdom.errors import InvalidInput, LocdomError, RefusedScale, TwinsPresent
-from locdom.graphs import all_labeled_graphs, decode_graph6, generate, is_twin_free, new_graph, set_of
+from locdom.graphs import (
+    all_labeled_graphs,
+    decode_graph6,
+    encode_graph6,
+    generate,
+    is_twin_free,
+    new_graph,
+    set_of,
+)
 from locdom.location import (
     _nibble_tables,
     is_locating,
@@ -616,3 +625,65 @@ class TestConstruct:
                 continue
             r = construct_ld(g)
             assert r.ld_witness_size <= ld_size_limit(g.n)
+
+
+def first_twin_free_gnp(n):
+    return next(g for g in (generate("gnp", n, 0.3, s) for s in range(1, 50)) if is_twin_free(g))
+
+
+class TestHeuristicMemo:
+    """construct_ld memoizes the twin check and the empty start for the last
+    graph; the seeded start must still run on every call."""
+
+    @staticmethod
+    def warm_and_cold(g, seeds):
+        _empty_start.cache_clear()
+        warm = [construct_ld(g, mode="heuristic", rng_seed=s) for s in seeds]
+        cold = []
+        for s in seeds:
+            _empty_start.cache_clear()
+            cold.append(construct_ld(g, mode="heuristic", rng_seed=s))
+        return warm, cold
+
+    @pytest.mark.parametrize("n", [30, 60, 120, 200])
+    def test_warm_equals_cold_gnp(self, n):
+        warm, cold = self.warm_and_cold(first_twin_free_gnp(n), range(40))
+        assert warm == cold
+        assert len({r.witness for r in cold}) > 1  # the seed matters on these graphs
+
+    def test_warm_equals_cold_small(self):
+        checked = 0
+        for n in range(6):
+            for g in all_labeled_graphs(n):
+                if is_twin_free(g):
+                    warm, cold = self.warm_and_cold(g, (1, 2, 0x5EED))
+                    assert warm == cold, encode_graph6(g)
+                    checked += 1
+        assert checked > 100
+
+    def test_one_miss_per_graph(self):
+        g = first_twin_free_gnp(60)
+        _empty_start.cache_clear()
+        for s in range(40):
+            construct_ld(g, mode="heuristic", rng_seed=s)
+        info = _empty_start.cache_info()
+        assert (info.misses, info.hits) == (1, 39)
+
+    def test_twins_raise_every_call(self, c4, p4):
+        _empty_start.cache_clear()
+        for cached_first in (False, True):
+            if cached_first:
+                construct_ld(p4, mode="heuristic")  # a twin-free graph takes the entry
+            for _ in range(2):
+                with pytest.raises(TwinsPresent):
+                    construct_ld(c4, mode="heuristic")
+        assert _empty_start.cache_info().hits == 0
+
+    def test_equal_graph_hits(self):
+        g = first_twin_free_gnp(60)
+        same = decode_graph6(encode_graph6(g))
+        assert same == g and same is not g
+        _empty_start.cache_clear()
+        first = construct_ld(g, mode="heuristic", rng_seed=3)
+        assert construct_ld(same, mode="heuristic", rng_seed=3) == first
+        assert _empty_start.cache_info().hits == 1

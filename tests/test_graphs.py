@@ -5,6 +5,7 @@ from locdom.graphs import (
     all_labeled_graphs,
     decode_graph6,
     encode_graph6,
+    encode_pattern,
     find_twins,
     generate,
     is_twin_free,
@@ -74,9 +75,11 @@ class TestGraph6:
         assert decode_graph6(" Ch\r\n") == decode_graph6("Ch")
 
     def test_roundtrip_corpus(self):
+        # a corpus all:N record encodes its id from the pattern m it was built from
         for n in range(6):
-            for g in all_labeled_graphs(n):
+            for m, g in enumerate(all_labeled_graphs(n)):
                 assert decode_graph6(encode_graph6(g)) == g
+                assert encode_pattern(n, m) == encode_graph6(g)
 
     def test_roundtrip_random_large(self):
         for g in random_graphs(50, 20, 50, p=0.2, seed0=7):
@@ -129,6 +132,13 @@ class TestGraph6:
         big = g.__class__(258048, (0,) * 258048)
         with pytest.raises(InvalidInput, match="graph6 order 258048 exceeds 258047"):
             encode_graph6(big)
+
+        class Unread:  # an edge in a row that large would put a bit 2^35 places up in the pattern
+            def __getitem__(self, v):
+                raise AssertionError("rows read before the order was refused")
+
+        with pytest.raises(InvalidInput, match="graph6 order 258048 exceeds 258047"):
+            encode_graph6(g.__class__(258048, Unread()))
         with pytest.raises(InvalidInput, match="8-byte order form not supported"):
             decode_graph6("~~??????")  # eight-character order form
 
