@@ -25,18 +25,12 @@ from typing import NamedTuple
 from .errors import BoundViolation, InvalidInput, RefusedScale, TwinsPresent, VerificationFailed
 from .graphs import Graph, is_twin_free, lane_bytes, members, splitmix64_lanes
 from .location import (
-    at_complements,
-    block_misses,
-    block_vertex_planes,
-    count_planes,
     extend_to_dominating,
+    fewest_repeats,
     first_split,
     is_locating,
-    least,
-    miss_planes,
     refine,
     representatives,
-    vertex_planes,
     x_partition,
 )
 
@@ -225,15 +219,8 @@ def _max_score_full(g: Graph) -> tuple[int, int]:
     derive_good_set: that normalization maps every maximizer to a good
     maximizer (or raises), and every good maximizer r is the image of
     V \\ r, as the partition of r by traces on V \\ r has only trivial
-    classes, so its representatives are r itself.
-
-    One block of 2^c subsets r = h << c | x is read at a time, with no table
-    of all 2^n scores.  V \\ r lies in block top ^ h at the complement of x,
-    so the plane of the x with V \\ r locating is the complement plane of
-    miss_planes' located groups, as in the split search, and a block without
-    one is skipped.  D is count_planes of the duplicate planes of
-    location.block_vertex_planes, and least gives its minimum on that plane
-    with the plane of the x reaching it.
+    classes, so its representatives are r itself.  location.fewest_repeats
+    gives min D and the minimizers.
 
     Among the good maximizers this returns the one with the largest number
     k of non-trivial complement classes, ties broken by smallest bit
@@ -242,37 +229,17 @@ def _max_score_full(g: Graph) -> tuple[int, int]:
     the walk over good maximizers, in increasing bit pattern, stops at the
     first one reaching n - S (the first one at all when S = n).
     """
-    n = g.n
-    planes, per_vertex = miss_planes(g), vertex_planes(g)
-    c, located = planes.c, planes.located
-    top = (1 << (n - c)) - 1
-    full = (1 << (1 << c)) - 1
-    fewest = n + 1
-    good = []  # (block, plane of its good sets) for the blocks reaching fewest
-    for h in range(top + 1):
-        mask = full ^ at_complements(block_misses(located, top ^ h), c)
-        if not mask:
-            continue
-        repeats = [repeat for _, repeat in block_vertex_planes(planes, per_vertex, h)]
-        dups, plane = least(count_planes(repeats), mask)
-        if dups < fewest:
-            fewest, good = dups, []
-        if dups == fewest:
-            good.append((h, plane))
+    fewest, minimizers = fewest_repeats(g)
     best_good, best_k = None, -1
-    full_set = g.full_set
-    for h, plane in good:
-        while plane and best_k < fewest:
-            low = plane & -plane
-            plane ^= low
-            r = h << c | low.bit_length() - 1
-            k = sum(1 for cls in x_partition(g, r, full_set ^ r) if cls.bit_count() >= 2)
-            if k > best_k:
-                best_k = k
-                best_good = r
+    for r in minimizers:
+        k = sum(1 for cls in x_partition(g, r, g.complement_set(r)) if cls.bit_count() >= 2)
+        if k > best_k:
+            best_k, best_good = k, r
+            if k >= fewest:
+                break
     if best_good is None:
         raise VerificationFailed("no maximizer of the score sum is a good set")
-    return n - fewest, best_good
+    return g.n - fewest, best_good
 
 
 def build_z(g: Graph, a: int, a_part: tuple[int, ...]) -> int:
@@ -409,10 +376,10 @@ def _thinned_run(g: Graph, a0: int) -> _Run:
 @lru_cache(maxsize=1)
 def _empty_start(g: Graph) -> _Run:
     """The twin check and the heuristic run from the empty set, memoized for
-    the last graph (a one-entry lru_cache keyed by the frozen Graph, as
-    location.miss_planes is): neither reads the seed, so a study of many
-    seeds on one graph runs them once.  A graph with twins raises
-    TwinsPresent, which lru_cache does not store, so it raises every call."""
+    the last graph (a one-entry lru_cache keyed by the frozen Graph):
+    neither reads the seed, so a study of many seeds on one graph runs them
+    once.  A graph with twins raises TwinsPresent, which lru_cache does not
+    store, so it raises every call."""
     _require_twin_free(g)
     return _thinned_run(g, 0)
 

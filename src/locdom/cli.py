@@ -138,6 +138,14 @@ def _bound_record(g: graphs.Graph, mode: str, max_exact: int) -> dict:
     }
 
 
+def _at_least(floor: int, ctx: click.Context, param: click.Parameter, value: int) -> int:
+    """The click callback, bound to a floor by partial, that rejects an int
+    option below it as misuse: one error line and exit 2."""
+    if value < floor:
+        raise InvalidInput(f"{param.opts[0]} must be at least {floor}, got {value}")
+    return value
+
+
 class _Timer:
     """Per-phase wall-clock milliseconds for single-graph reports.
 
@@ -188,7 +196,7 @@ def check(input: str) -> None:
 @main.command(name="bound")
 @click.argument("input", default="-")
 @click.option("--mode", type=click.Choice(["exact", "heuristic"]), default="exact")
-@click.option("--max-exact", type=int, default=bound.EXACT_CEILING_DEFAULT)
+@click.option("--max-exact", type=int, default=bound.EXACT_CEILING_DEFAULT, callback=partial(_at_least, 0))
 def bound_cmd(input: str, mode: str, max_exact: int) -> None:
     """Run the constructive bound pipeline and print the candidate table."""
     timer = _Timer()
@@ -203,7 +211,7 @@ def bound_cmd(input: str, mode: str, max_exact: int) -> None:
 
 @main.command()
 @click.argument("input", default="-")
-@click.option("--ceiling", type=int, default=solver.MIN_SET_CEILING)
+@click.option("--ceiling", type=int, default=solver.MIN_SET_CEILING, callback=partial(_at_least, 0))
 def solve(input: str, ceiling: int) -> None:
     """Exact minimum locating and locating-dominating sets."""
     timer = _Timer()
@@ -413,18 +421,17 @@ def _usable_cpus() -> int:
     "--jobs",
     type=int,
     default=1,
+    callback=partial(_at_least, 1),
     help="worker processes at most; no more run than usable CPUs or chunks, "
     "and the output is byte-identical at any count",
 )
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--max-exact", type=int, default=bound.EXACT_CEILING_DEFAULT)
-@click.option("--solve-ceiling", type=int, default=solver.MIN_SET_CEILING)
+@click.option("--max-exact", type=int, default=bound.EXACT_CEILING_DEFAULT, callback=partial(_at_least, 0))
+@click.option("--solve-ceiling", type=int, default=solver.MIN_SET_CEILING, callback=partial(_at_least, 0))
 @click.option("--no-q1", is_flag=True, default=False)
 def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
     """Sweep a corpus: SOURCE is a file of graph6 lines, '-' for stdin,
     or a generator spec 'all:N' for every labeled graph on N vertices."""
-    if jobs < 1:
-        raise InvalidInput(f"--jobs must be at least 1, got {jobs}")
     if source.startswith("all:"):
         try:
             n = int(source.split(":", 1)[1])

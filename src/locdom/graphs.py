@@ -56,7 +56,10 @@ class Graph:
         return (1 << self.n) - 1
 
     def complement_set(self, s: int) -> int:
-        """V \\ s."""
+        """V \\ s, for a vertex set s within V: every function that takes a
+        vertex set checks it here."""
+        if s >> self.n:  # a bit above V, or s < 0
+            raise InvalidInput(f"vertex set {s} is not within the {self.n} vertices")
         return self.full_set ^ s
 
     @property

@@ -7,11 +7,20 @@ classes, and dominating when every outside vertex has a non-empty trace.
 One walk over the complement (_outside_walk) notes a repeated trace and the
 vertex with the empty trace, and is_locating, is_locating_dominating and
 extend_to_dominating all read it.
-The same predicates over all subsets at once are bit planes: miss_planes,
-which the search for a split into two locating sets (first_split) and the
-solver's oracles share, and vertex_planes, the same planes split by vertex,
-which block_vertex_planes reads one block at a time.  count_planes sums
-planes into bit-sliced counters and least reads their minimum.
+
+The same predicates over all subsets at once are bit planes, and this module
+alone knows their layout.  A subset is a = h << c | x, c = min(n,
+BLOCK_BITS): a block of the 2^c subsets x of the c lowest vertices for each
+pattern h of the vertices from c up, read as one 2^c-bit plane, so no plane
+is wider than 2^BLOCK_BITS bits at any n.  V \\ a lies in block top ^ h, top
+= 2^(n - c) - 1, at the complement of x.  miss_planes holds the planes of
+the pairs and closed neighborhoods that a locating (locating-dominating) set
+must hit, and vertex_planes the same split by vertex; count_planes sums
+planes into bit-sliced counters and least reads their minimum.  Four block
+scans read them: first_split (the first split of V into two locating sets),
+min_good_set (a smallest locating or locating-dominating set),
+fewest_repeats (the fewest duplicates over the r with V \\ r locating) and
+score_table (every separation score).
 
 The separation score s(a) is |V \\ a| - D(a), where D(a) counts the
 vertices outside a whose trace on a repeats that of an earlier outside
@@ -27,7 +36,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InvalidInput
-from .graphs import Graph
+from .graphs import Graph, members
 
 
 def x_partition(g: Graph, x: int, y: int) -> tuple[int, ...]:
@@ -303,12 +312,11 @@ def at_complements(plane: int, c: int) -> int:
 def first_split(g: Graph, pinned: bool) -> int | None:
     """The first x in bit order with both x and V \\ x locating, or None.
 
-    The blocks h << c | x are scanned upward: ~block_misses of the located
-    planes at h marks the locating x, and the complement of x in V lies in
-    block top ^ h at the complement of x, so the same at top ^ h read at
-    complements marks the x whose complement is locating.  A block with no
-    locating x skips the complement plane.  With pinned, only the x that
-    hold vertex 0 count (n >= 1).
+    The blocks are scanned upward: ~block_misses of the located planes at h
+    marks the locating x, and the same at top ^ h read at complements marks
+    the x whose complement is locating.  A block with no locating x skips
+    the complement plane.  With pinned, only the x that hold vertex 0 count
+    (n >= 1).
     """
     planes = miss_planes(g)
     c, located = planes.c, planes.located
@@ -323,6 +331,47 @@ def first_split(g: Graph, pinned: bool) -> int | None:
             if good:
                 return h << c | (good & -good).bit_length() - 1
     return None
+
+
+def min_good_set(g: Graph, dominating: bool) -> tuple[int, int]:
+    """The size of a smallest locating set (with dominating, locating-
+    dominating set) and the first such set in combinations order.
+
+    A block's smallest good x is least of the counters of |x|
+    (SIZE_COUNTERS) on its good plane, ~block_misses of the located (or
+    dominated) planes at h; a block whose high part alone outgrows the best
+    size so far is skipped.
+    """
+    planes = miss_planes(g)
+    c = planes.c
+    full = (1 << (1 << c)) - 1
+    groups = planes.dominated if dominating else planes.located
+    # a subset of the c low vertices has at most c members, so the counters
+    # above c.bit_length() are 0 wherever least reads them
+    sizes = SIZE_COUNTERS[: c.bit_length()]
+    best_size, best = g.n + 1, 0
+    for h in range(1 << (g.n - c)):
+        high_size = h.bit_count()
+        if high_size > best_size:
+            continue
+        good = full ^ block_misses(groups, h)
+        if not good:
+            continue
+        low_size, cand = least(sizes, good)
+        if high_size + low_size > best_size:
+            continue
+        # combinations order among equal sizes: the set holding the smallest
+        # element where two sets differ comes first, so keep each w in turn
+        # whenever some remaining candidate holds it
+        for plane in planes.absent:
+            held = cand & ~plane
+            if held:
+                cand = held
+        x = h << c | cand.bit_length() - 1
+        differ = x ^ best
+        if high_size + low_size < best_size or differ & -differ & x:
+            best_size, best = high_size + low_size, x
+    return best_size, best
 
 
 # binary digits to byte values 0 and 2^j, one table per counter plane j
@@ -353,6 +402,36 @@ def score_table(g: Graph) -> bytearray:
             total |= int.from_bytes(format(count, digits).encode().translate(_DIGIT_TO_BYTE[j]), "big")
         table[h << c : (h + 1) << c] = total.to_bytes(size, "little")
     return table
+
+
+def fewest_repeats(g: Graph) -> tuple[int, Iterator[int]]:
+    """The fewest duplicates D(r) over the r with V \\ r locating, and the
+    r that reach it, lazily in increasing bit order.
+
+    No table of all 2^n counts is built.  The plane of a block's x with
+    V \\ r locating is ~block_misses of the located planes at top ^ h read
+    at complements, as in first_split, and a block without one is skipped.
+    D is count_planes of the duplicate planes of block_vertex_planes, and
+    least gives its minimum on that plane with the plane of the x reaching
+    it; the scan keeps those planes for the blocks at the fewest so far.
+    """
+    planes, per_vertex = miss_planes(g), vertex_planes(g)
+    c, located = planes.c, planes.located
+    top = (1 << (g.n - c)) - 1
+    full = (1 << (1 << c)) - 1
+    fewest = g.n + 1
+    reached = []  # (block, plane of its x at fewest) for the blocks reaching fewest
+    for h in range(top + 1):
+        mask = full ^ at_complements(block_misses(located, top ^ h), c)
+        if not mask:
+            continue
+        repeats = [repeat for _, repeat in block_vertex_planes(planes, per_vertex, h)]
+        dups, plane = least(count_planes(repeats), mask)
+        if dups < fewest:
+            fewest, reached = dups, []
+        if dups == fewest:
+            reached.append((h, plane))
+    return fewest, (h << c | x for h, plane in reached for x in members(plane))
 
 
 def _outside_walk(g: Graph, x: int) -> int | None:

@@ -3,23 +3,12 @@
 Everything here is exhaustive search: minimum locating and
 locating-dominating sets by increasing cardinality, the two-locating-sets
 bipartition search, and the maximum summed separation score over
-k-partitions.  The first three read the same subset planes as the bound's
-exact maximization (location.miss_planes), and the bipartition search is
-the bound's split search itself (location.first_split, with vertex 0
-pinned), so they do not check that kernel; what checks both is the CLI's
-set-based re-verification of every locating and locating-dominating
-witness (is_locating, is_locating_dominating) and the references in the
-tests.
-
-The planes: a predicate over the subsets x of the c = min(n, 16) lowest
-vertices is one 2^c-bit int whose bit x is its value at x.  All three fix
-the vertices from c up to each high pattern h in turn and test the 2^c
-subsets below as one block, so a raised ceiling costs time, not memory:
-"h << c | x is not locating" (or not locating-dominating) is
-location.block_misses of miss_planes' located (or dominated) planes at h,
-and "V \\ x is not locating" is the same plane read at complements.  The
-minimum sets read a block's smallest size as location.least of the
-counters of |x| (location.SIZE_COUNTERS) on its good plane.
+k-partitions.  The first three are block scans of location
+(location.min_good_set and location.first_split, with vertex 0 pinned),
+over the same subset planes as the bound's exact maximization, so they do
+not check that kernel; what checks both is the CLI's set-based
+re-verification of every locating and locating-dominating witness
+(is_locating, is_locating_dominating) and the references in the tests.
 
 s_k is a submask DP over location.score_table, whose entry T[a] =
 |V \\ a| - D(a) counts the vertices outside a that are the first of their
@@ -38,7 +27,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InvalidInput, RefusedScale
 from .graphs import Graph
-from .location import SIZE_COUNTERS, block_misses, first_split, least, miss_planes, score_table
+from .location import first_split, min_good_set, score_table
 
 MIN_SET_CEILING = 16
 PARTITION2_CEILING = 20
@@ -61,56 +50,18 @@ class SkResult(NamedTuple):
     witness_partition: tuple[int, ...]
 
 
-def _min_good(g: Graph, dominating: bool, ceiling: int) -> OptimumWitness:
-    """Smallest x that is locating (and dominating), first in combinations order.
-
-    The vertices from c = min(n, BLOCK_BITS) up are fixed to each high
-    pattern h in turn, as in two_locating_partition, so no plane is wider
-    than 2^BLOCK_BITS bits whatever the ceiling; a block whose high part
-    alone outgrows the best size so far is skipped.
-    """
+def min_locating(g: Graph, ceiling: int = MIN_SET_CEILING) -> OptimumWitness:
+    """L(G): smallest locating set, first witness in combinations order."""
     if g.n > ceiling:
         raise RefusedScale(f"oracle refused for n={g.n} > {ceiling}")
-    planes = miss_planes(g)
-    c = planes.c
-    full = (1 << (1 << c)) - 1
-    groups = planes.dominated if dominating else planes.located
-    # a subset of the c low vertices has at most c members, so the counters
-    # above c.bit_length() are 0 wherever least reads them
-    sizes = SIZE_COUNTERS[: c.bit_length()]
-    best_size, best = g.n + 1, 0
-    for h in range(1 << (g.n - c)):
-        high_size = h.bit_count()
-        if high_size > best_size:
-            continue
-        good = full ^ block_misses(groups, h)
-        if not good:
-            continue
-        low_size, cand = least(sizes, good)
-        if high_size + low_size > best_size:
-            continue
-        # combinations order among equal sizes: the set holding the smallest
-        # element where two sets differ comes first, so keep each w in turn
-        # whenever some remaining candidate holds it
-        for plane in planes.absent:
-            held = cand & ~plane
-            if held:
-                cand = held
-        x = h << c | cand.bit_length() - 1
-        differ = x ^ best
-        if high_size + low_size < best_size or differ & -differ & x:
-            best_size, best = high_size + low_size, x
-    return OptimumWitness(best_size, best)
-
-
-def min_locating(g: Graph, ceiling: int = MIN_SET_CEILING) -> OptimumWitness:
-    """L(G): smallest locating set, lexicographically first witness."""
-    return _min_good(g, False, ceiling)
+    return OptimumWitness(*min_good_set(g, False))
 
 
 def min_locating_dominating(g: Graph, ceiling: int = MIN_SET_CEILING) -> OptimumWitness:
-    """LD(G): smallest locating-dominating set, lexicographically first witness."""
-    return _min_good(g, True, ceiling)
+    """LD(G): smallest locating-dominating set, first witness in combinations order."""
+    if g.n > ceiling:
+        raise RefusedScale(f"oracle refused for n={g.n} > {ceiling}")
+    return OptimumWitness(*min_good_set(g, True))
 
 
 def two_locating_partition(g: Graph) -> PartitionWitness:
@@ -118,8 +69,7 @@ def two_locating_partition(g: Graph) -> PartitionWitness:
 
     Vertex 0 is pinned to X to halve the space; the first witness in
     increasing order of X's bit pattern is returned.  Twins are permitted.
-    location.first_split does the search, a block of 2^BLOCK_BITS choices
-    of X at a time.
+    location.first_split does the search.
     """
     if g.n > PARTITION2_CEILING:
         raise RefusedScale(f"bipartition search refused for n={g.n} > {PARTITION2_CEILING}")

@@ -200,6 +200,31 @@ class TestSolve:
         assert result.exit_code == EXIT_SCALE
 
 
+class TestNegativeCeiling:
+    # a ceiling below 0 is misuse (exit 2), not a refused scale (exit 4):
+    # no graph has fewer than 0 vertices
+    @pytest.mark.parametrize(
+        "args,option,value",
+        [
+            (["bound", "-", "--max-exact", "-3"], "--max-exact", -3),
+            (["solve", "-", "--ceiling", "-1"], "--ceiling", -1),
+            (["corpus", "-", "--max-exact", "-2"], "--max-exact", -2),
+            (["corpus", "-", "--solve-ceiling", "-1"], "--solve-ceiling", -1),
+        ],
+        ids=["bound-max-exact", "solve-ceiling", "corpus-max-exact", "corpus-solve-ceiling"],
+    )
+    def test_exits_parse(self, runner, args, option, value):
+        result = runner.invoke(main, args, input="Ch\n")
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {option} must be at least 0, got {value}"]
+
+    def test_zero_is_a_ceiling(self, runner):
+        result = runner.invoke(main, ["solve", "-", "--ceiling", "0"], input="Ch\n")
+        assert result.exit_code == EXIT_SCALE
+        assert result.stderr.splitlines() == ["error: oracle refused for n=4 > 0"]
+
+
 class TestQuestionTools:
     def test_partition2(self, runner):
         rec = run_json(runner, ["partition2", "-"], input="Ch\n")

@@ -1,9 +1,10 @@
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locdom.bound import score_sum
+from locdom.bound import decompose, derive_good_set, score_sum
 from locdom.errors import InvalidInput
 from locdom.graphs import all_labeled_graphs, generate, is_twin_free, new_graph, set_of
 from locdom.location import (
@@ -12,6 +13,7 @@ from locdom.location import (
     _nibble_tables,
     count_planes,
     extend_to_dominating,
+    fewest_repeats,
     is_dominating,
     is_locating,
     is_locating_dominating,
@@ -22,7 +24,16 @@ from locdom.location import (
 )
 
 from conftest import random_graphs, small_graphs
-from oracles import ref_is_dominating, ref_is_locating, ref_partition, ref_s, ref_trace, to_mask, to_set
+from oracles import (
+    ref_is_dominating,
+    ref_is_locating,
+    ref_max_score,
+    ref_partition,
+    ref_s,
+    ref_trace,
+    to_mask,
+    to_set,
+)
 
 
 class TestXPartition:
@@ -267,3 +278,64 @@ def test_size_counters():
     full = (1 << (1 << BLOCK_BITS)) - 1
     same = SIZE_COUNTERS == tuple(count_planes([full ^ plane for plane in _nibble_tables(BLOCK_BITS)[1]]))
     assert same  # not the planes themselves: their repr has about 20,000 digits
+
+
+# on P4 (n = 4): the set {4}, the set {0, 3, 5}, and -1, which holds every
+# bit; each passes a bit above V to the check in Graph.complement_set
+@pytest.mark.parametrize("bad", [1 << 4, 0b1001 | 1 << 5, -1], ids=["1<<n", "bit-above-n", "-1"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        score_sum,
+        decompose,
+        derive_good_set,
+        is_locating,
+        is_dominating,
+        is_locating_dominating,
+        extend_to_dominating,
+        lambda g, x: x_partition(g, x, 1),
+    ],
+    ids=[
+        "score_sum",
+        "decompose",
+        "derive_good_set",
+        "is_locating",
+        "is_dominating",
+        "is_locating_dominating",
+        "extend_to_dominating",
+        "x_partition",
+    ],
+)
+def test_vertex_set_outside_v_rejected(p4, call, bad):
+    with pytest.raises(InvalidInput, match=f"^vertex set {bad} is not within the 4 vertices$"):
+        call(p4, bad)
+
+
+def test_fewest_repeats_against_reference():
+    # every labeled graph with n <= 5, twins included: the minimizers are
+    # the r with V \ r locating at the maximum score sum, in bit order
+    for n in range(6):
+        for g in all_labeled_graphs(n):
+            fewest, minimizers = fewest_repeats(g)
+            s_max = ref_max_score(g)
+            assert fewest == n - s_max
+            assert iter(minimizers) is minimizers  # read lazily, as the walk needs
+            full = g.full_set
+            good = [r for r in range(1 << n) if is_locating(g, full ^ r) and score_sum(g, r).sum == s_max]
+            assert list(minimizers) == good
+
+
+@pytest.mark.parametrize("seed", [12, 45])
+def test_fewest_repeats_across_blocks(seed):
+    # n = 17 is two blocks of 2^16 subsets, and on these graphs S < n and
+    # the minimizers lie in both; the score table counts the same
+    # duplicates, T[r] = n - |r| - D(r), with T[V - r] = |r| iff V - r is
+    # locating, and T[V - a] is T read backwards
+    g = generate("gnp", 17, 0.1, seed)
+    table, full = score_table(g), g.full_set
+    s_max = max(map(operator.add, table, reversed(table)))
+    fewest, minimizers = fewest_repeats(g)
+    good = [r for r in range(1 << 17) if table[full ^ r] == r.bit_count() and table[r] + r.bit_count() == s_max]
+    assert fewest == 17 - s_max
+    assert list(minimizers) == good
+    assert {r >> 16 for r in good} == {0, 1}

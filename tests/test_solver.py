@@ -26,7 +26,7 @@ from locdom.solver import (
 )
 
 from conftest import random_graphs, small_graphs
-from oracles import ref_first_bipartition, ref_min_witness, ref_partitions, ref_s_k, to_set
+from oracles import ref_first_bipartition, ref_min_witness, ref_partitions, ref_s_k, to_mask, to_set
 
 
 def _witness_family():
@@ -106,6 +106,17 @@ class TestMinSets:
         g = generate("path", 17)
         with pytest.raises(RefusedScale):
             min_locating(g)
+
+    @pytest.mark.parametrize("n,seed", [(17, 1), (18, 5)])
+    def test_cross_block_tie_break(self, n, seed):
+        # witnesses above block 0 (2^16 subsets a block): gnp 17 seed 1 has
+        # its LD witness in block 1, gnp 18 seed 5 its L witness in block 2
+        # and its LD witness in block 1, so the scan's choice among blocks
+        # must give the first set in combinations order
+        g = generate("gnp", n, 0.3, seed)
+        for dominating, oracle in ((False, min_locating), (True, min_locating_dominating)):
+            ref = ref_min_witness(g, dominating)
+            assert oracle(g, ceiling=n) == (len(ref), to_mask(ref))
 
     def test_raised_ceiling_keeps_block_width(self):
         # above 2^16 subsets the planes stay one block wide, in the call and
