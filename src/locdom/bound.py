@@ -22,17 +22,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import BoundViolation, InvalidInput, RefusedScale, TwinsPresent, VerificationFailed
+from .errors import BoundViolation, InvalidInput, RefusedScale, TwinsPresent, VerificationFailed, require_at_least
 from .graphs import Graph, is_twin_free, lane_bytes, members, splitmix64_lanes
-from .location import (
-    extend_to_dominating,
-    fewest_repeats,
-    first_split,
-    is_locating,
-    refine,
-    representatives,
-    x_partition,
-)
+from .location import fewest_repeats, first_split, outside_walk, refine, representatives, x_partition
 
 EXACT_CEILING_DEFAULT = 24
 
@@ -86,10 +78,17 @@ class GoodDecomposition(NamedTuple):
 
 
 class Candidate(NamedTuple):
+    """A candidate set with what the one walk over its complement
+    (location.outside_walk) found: whether it is locating, and if so the
+    outside vertex with the empty trace as a one-vertex set (0 when there is
+    none, or when the set is not locating), which makes it
+    locating-dominating."""
+
     tag: str
     vertex_set: int
     size: int
     locating: bool
+    undominated: int
 
 
 class BoundReport(NamedTuple):
@@ -197,9 +196,11 @@ def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int
     r with both r and V \\ r locating, every one has k = 0 non-trivial
     complement classes, and the one returned is the first in bit order:
     location.first_split, which stops at it.  Only when no split exists are
-    all 2^n subsets read (_max_score_full).
+    all 2^n subsets read (_max_score_full).  A negative ceiling is
+    InvalidInput, and one from 0 to n - 1 RefusedScale.
     """
     if g.n > ceiling:
+        require_at_least("ceiling", 0, ceiling)
         raise RefusedScale(f"exact maximization refused for n={g.n} > {ceiling}")
     r = first_split(g, pinned=False)
     if r is not None:
@@ -341,26 +342,25 @@ def candidate_sets(g: Graph, d: GoodDecomposition, strict: bool = True) -> tuple
         if k >= 1 and sets["eq4"].bit_count() > c + 3 * k - 1:
             raise VerificationFailed("eq4 candidate exceeds c + 3k - 1")
     out = []
-    located: dict[int, bool] = {}  # one test per distinct set: at k = 0 eq4 is eq2 and eq3 is V
+    walks: dict[int, int | None] = {}  # one walk per distinct set: at k = 0 eq4 is eq2 and eq3 is V
     for tag in CANDIDATE_TAGS:
         s = sets[tag]
-        loc = located.get(s)
-        if loc is None:
-            loc = located[s] = is_locating(g, s)
-        if strict and not loc:
+        if s not in walks:
+            walks[s] = outside_walk(g, s)
+        walk = walks[s]
+        if strict and walk is None:
             raise VerificationFailed(f"candidate {tag} failed the locating check")
-        out.append(Candidate(tag, s, s.bit_count(), loc))
+        out.append(Candidate(tag, s, s.bit_count(), walk is not None, walk or 0))
     return tuple(out)
 
 
-# a decomposition, its candidates, and the set of the smallest locating one
-_Run = tuple[GoodDecomposition, tuple[Candidate, ...], int]
+# a decomposition, its candidates, and the smallest locating one
+_Run = tuple[GoodDecomposition, tuple[Candidate, ...], Candidate]
 
 
 def _run(g: Graph, d: GoodDecomposition, strict: bool) -> _Run:
     cands = candidate_sets(g, d, strict=strict)
-    witness = min((c for c in cands if c.locating), key=lambda c: c.size).vertex_set
-    return d, cands, witness
+    return d, cands, min((c for c in cands if c.locating), key=lambda c: c.size)
 
 
 def _require_twin_free(g: Graph) -> None:
@@ -417,29 +417,35 @@ def construct_ld(
     check and the empty start do not read rng_seed and are memoized for
     the last graph (_empty_start), so only the random start runs again when
     the seed alone changes.  Either way the locating witness gains at most
-    one vertex to become locating-dominating, which a certified run checks
-    against ceil(5n/8).
+    one vertex to become locating-dominating: the outside vertex with the
+    empty trace, which candidate_sets' walk over the witness's complement
+    already found, so the witness is not walked again.  A certified run
+    checks the result against ceil(5n/8).  A negative max_exact in exact
+    mode is InvalidInput, as the CLI's --max-exact is.
     """
     if mode not in ("exact", "heuristic"):
         raise InvalidInput(f"unknown mode {mode!r}")
     certified = mode == "exact"
+    if certified:
+        require_at_least("max_exact", 0, max_exact)
     if g.n == 0:
         return BoundReport((), 0, mode, certified, 0, 0, 0)
     if certified:
         _require_twin_free(g)
         s_value, good = max_score_exact(g, ceiling=max_exact)
-        d, cands, witness = _run(g, decompose(g, good, s_max=s_value), strict=True)
+        d, cands, best = _run(g, decompose(g, good, s_max=s_value), strict=True)
     else:
-        d, cands, witness = _empty_start(g)
+        d, cands, best = _empty_start(g)
         seeded = _thinned_run(g, _random_subset(g.n, rng_seed))
-        if seeded[2].bit_count() < witness.bit_count():
-            d, cands, witness = seeded
+        if seeded[2].size < best.size:
+            d, cands, best = seeded
+    witness = best.vertex_set
     if certified and witness.bit_count() > locating_size_limit(g.n):
         raise BoundViolation(
             f"certified witness of size {witness.bit_count()} exceeds "
             f"{locating_size_limit(g.n)} for n={g.n}"
         )
-    ld = extend_to_dominating(g, witness)
+    ld = witness | best.undominated
     if certified and ld.bit_count() > ld_size_limit(g.n):
         raise BoundViolation(
             f"LD witness of size {ld.bit_count()} exceeds {ld_size_limit(g.n)}"

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 import click
 
-from . import bound, graphs, location, solver
+from . import bound, errors, graphs, location, solver
 from .errors import BoundViolation, InvalidInput, LocdomError, RefusedScale, TwinsPresent, VerificationFailed
 
 EXIT_PARSE = 2
@@ -141,9 +141,7 @@ def _bound_record(g: graphs.Graph, mode: str, max_exact: int) -> dict:
 def _at_least(floor: int, ctx: click.Context, param: click.Parameter, value: int) -> int:
     """The click callback, bound to a floor by partial, that rejects an int
     option below it as misuse: one error line and exit 2."""
-    if value < floor:
-        raise InvalidInput(f"{param.opts[0]} must be at least {floor}, got {value}")
-    return value
+    return errors.require_at_least(param.opts[0], floor, value)
 
 
 class _Timer:
@@ -490,8 +488,7 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
 @click.option("--count", type=int, default=1, help="gnp only: graphs for seeds seed..seed+count-1")
 def gen(kind, n, p, seed, count) -> None:
     """Emit generated graphs as graph6 lines."""
-    if count < 1:
-        raise InvalidInput(f"--count must be at least 1, got {count}")
+    errors.require_at_least("--count", 1, count)
     if kind != "gnp":
         for name, given in (("--p", p is not None), ("--seed", seed is not None), ("--count", count != 1)):
             if given:

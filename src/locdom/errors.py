@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all locdom modules: one class per outcome
-that some caller tells apart."""
+that some caller tells apart, and the one check of an int's floor that the
+CLI's options and the library's ceilings share."""
 
 
 class LocdomError(Exception):
@@ -25,3 +26,11 @@ class BoundViolation(LocdomError):
 class VerificationFailed(LocdomError):
     """A result failed its re-check, or a step the theory guarantees could
     not be completed: a bug."""
+
+
+def require_at_least(name: str, floor: int, value: int) -> int:
+    """value, unless it is below floor: then InvalidInput, in the one form
+    that a CLI option and a library ceiling give alike."""
+    if value < floor:
+        raise InvalidInput(f"{name} must be at least {floor}, got {value}")
+    return value

@@ -10,9 +10,10 @@ neighborhood N(v).
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
-from functools import partial
-from itertools import compress
+from functools import lru_cache, partial
+from itertools import compress, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidInput, RefusedScale
@@ -191,10 +192,11 @@ def decode_graph6(text: str) -> Graph:
         raise InvalidInput(f"truncated bit stream: {len(body)} < {nchunks} chunks")
     if len(body) > nchunks:
         raise InvalidInput("trailing characters after adjacency bits")
-    bits = body.translate(_G6_BITS)
-    if "1" in bits[nbits:]:
+    # the stream's first bit is bit 0 of m, and the pad bits lie above nbits
+    m = int(body.translate(_G6_BITS)[::-1] or "0", 2)
+    if m >> nbits:
         raise InvalidInput("nonzero padding bits")
-    return labeled_graph(n, int(bits[:nbits][::-1] or "0", 2))
+    return labeled_graph(n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -344,22 +346,83 @@ def labeled_graph_count(n: int) -> int:
     return 1 << n * (n - 1) // 2
 
 
+# the struct codes of rows of 1, 2, 4 and 8 bytes
+_ROW_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _swap_mask(w: int, k: int) -> int:
+    """The mask of delta swap step k on a w x w bit matrix: the bits (r, c)
+    with bit k clear in r and set in c, each built by doubling."""
+    row = ((1 << k) - 1) << k
+    width = 2 * k
+    while width < w:
+        row |= row << width
+        width *= 2
+    mask = row
+    height = 1
+    while height < k:  # rows 0..k-1
+        mask |= mask << height * w
+        height *= 2
+    height = 2 * k
+    while height < w:  # then every 2k rows
+        mask |= mask << height * w
+        height *= 2
+    return mask
+
+
+@lru_cache(maxsize=1)
+def _matrix_plan(w: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int], ...]]:
+    """labeled_graph's steps at row width w, cached for one w at a time.
+
+    Bit w*r + c of the matrix is row r, column c.  First, for each j < w,
+    the mask of j bits, j, and the offset j*w of row j.  Then (shift, mask)
+    of each delta swap: step k swaps bit (r, c) with bit (r + k, c - k)
+    wherever r lacks bit k and c has it, a shift of k(w - 1).  Up to
+    w = 64 the steps k = w/2, ..., 1 transpose the whole matrix; above it
+    only k = 4, 2, 1 are kept, which transpose each 8x8 block in place, so
+    the masks hold 3w^2/8 bytes (1.5 MB at w = 2048), not w^2 log2(w)/8.
+    """
+    steps = [w >> i for i in range(1, w.bit_length())] if w <= 64 else [4, 2, 1]
+    swaps = tuple((k * (w - 1), _swap_mask(w, k)) for k in steps)
+    return tuple(((1 << j) - 1, j, j * w) for j in range(w)), swaps
+
+
 def labeled_graph(n: int, m: int) -> Graph:
     """The graph on n vertices whose triangle bit pattern is m.
 
     Bit t of m is the t-th pair in the column-major order
     (0,1),(0,2),(1,2),(0,3),..., so column j, the pairs (0,j)..(j-1,j),
     is the slice of j bits from j(j-1)/2 and reads as N(j) below j.
+
+    Column j becomes row j of a w x w bit matrix L held in one int, w the
+    smallest power of two >= max(8, n), and N(v) is row v of L | L^T: the
+    cost is n column steps and O(w^2 log w) bit work, with no step per
+    edge.  The transpose is the log-depth one of Warren (Hacker's Delight,
+    section 7-3), by masked delta swaps (_matrix_plan).  Up to w = 64 the
+    swaps transpose all of L and a row is one struct field; above it they
+    transpose each 8x8 block, and the steps that move whole bytes are one
+    strided read of the bytes, as byte R of row u of L^T is byte u >> 3 of
+    row 8R + (u & 7) of the swapped blocks.
     """
-    adj = [0] * n
-    for j in range(1, n):
-        below = m >> (j * (j - 1) >> 1) & (1 << j) - 1
-        adj[j] = below
-        while below:
-            low = below & -below
-            adj[low.bit_length() - 1] |= 1 << j
-            below ^= low
-    return Graph(n, tuple(adj))
+    w = 8 if n <= 8 else 1 << (n - 1).bit_length()
+    columns, swaps = _matrix_plan(w)
+    low = 0
+    for mask, j, at in islice(columns, 1, n):
+        low |= (m & mask) << at
+        m >>= j
+    high = low
+    for shift, mask in swaps:
+        d = (high ^ high >> shift) & mask
+        high ^= d ^ d << shift
+    rb = w >> 3  # bytes per row
+    if rb <= 8:
+        rows = (low | high).to_bytes(n * rb, "little")
+        return Graph(n, tuple(rows) if rb == 1 else struct.unpack(f"<{n}{_ROW_CODES[rb]}", rows))
+    cells = high.to_bytes(w * rb, "little")
+    stride = 8 * rb
+    high = int.from_bytes(b"".join([cells[(u & 7) * rb + (u >> 3) :: stride] for u in range(n)]), "little")
+    rows = (low | high).to_bytes(n * rb, "little")
+    return Graph(n, tuple(int.from_bytes(rows[i : i + rb], "little") for i in range(0, n * rb, rb)))
 
 
 def all_labeled_graphs(n: int) -> Iterator[Graph]:

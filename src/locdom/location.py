@@ -4,9 +4,11 @@ The trace of a vertex v with respect to a set X is N(v) & X.  Partitioning a
 set Y (disjoint from X) by equal trace yields the X-partition of Y; a set X
 is locating when that partition of the complement of X has only singleton
 classes, and dominating when every outside vertex has a non-empty trace.
-One walk over the complement (_outside_walk) notes a repeated trace and the
-vertex with the empty trace, and is_locating, is_locating_dominating and
-extend_to_dominating all read it.
+One walk over the complement (outside_walk) notes a repeated trace and the
+vertex with the empty trace; is_locating, is_locating_dominating and
+extend_to_dominating read it, and so does bound.candidate_sets, which keeps
+each candidate's walk so that construct_ld takes its locating-dominating
+witness from it without walking the witness again.
 
 The same predicates over all subsets at once are bit planes, and this module
 alone knows their layout.  A subset is a = h << c | x, c = min(n,
@@ -434,11 +436,12 @@ def fewest_repeats(g: Graph) -> tuple[int, Iterator[int]]:
     return fewest, (h << c | x for h, plane in reached for x in members(plane))
 
 
-def _outside_walk(g: Graph, x: int) -> int | None:
+def outside_walk(g: Graph, x: int) -> int | None:
     """The one walk over V \\ x behind the locating predicates: None when
     two outside vertices share a trace on x, else the outside vertex with
     the empty trace as a one-vertex set, or 0 when there is none (a
-    locating x leaves at most one)."""
+    locating x leaves at most one).  x | outside_walk(g, x) is then
+    locating-dominating."""
     y = g.complement_set(x)
     adj = g.adj
     first: dict[int, int] = {}  # trace -> the vertex that has it
@@ -454,14 +457,14 @@ def _outside_walk(g: Graph, x: int) -> int | None:
 
 def is_locating(g: Graph, x: int) -> bool:
     """All vertices outside x have pairwise distinct traces."""
-    return _outside_walk(g, x) is not None
+    return outside_walk(g, x) is not None
 
 
 def is_dominating(g: Graph, x: int) -> bool:
     """Every vertex outside x has a neighbor in x."""
     y = g.complement_set(x)
     adj = g.adj
-    while y:  # members(y), inlined as in _outside_walk
+    while y:  # members(y), inlined as in outside_walk
         low = y & -y
         if not adj[low.bit_length() - 1] & x:
             return False
@@ -471,7 +474,7 @@ def is_dominating(g: Graph, x: int) -> bool:
 
 def is_locating_dominating(g: Graph, x: int) -> bool:
     """Outside x, traces are pairwise distinct and none is empty."""
-    return _outside_walk(g, x) == 0
+    return outside_walk(g, x) == 0
 
 
 def extend_to_dominating(g: Graph, x: int) -> int:
@@ -480,7 +483,7 @@ def extend_to_dominating(g: Graph, x: int) -> int:
     A locating set has at most one outside vertex with empty trace, so the
     result is locating-dominating and at most one vertex larger.
     """
-    undominated = _outside_walk(g, x)
+    undominated = outside_walk(g, x)
     if undominated is None:
         raise InvalidInput("x is not locating")
     return x | undominated

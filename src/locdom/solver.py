@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .errors import InvalidInput, RefusedScale
+from .errors import InvalidInput, RefusedScale, require_at_least
 from .graphs import Graph
 from .location import first_split, min_good_set, score_table
 
@@ -51,15 +51,20 @@ class SkResult(NamedTuple):
 
 
 def min_locating(g: Graph, ceiling: int = MIN_SET_CEILING) -> OptimumWitness:
-    """L(G): smallest locating set, first witness in combinations order."""
+    """L(G): smallest locating set, first witness in combinations order.
+
+    A negative ceiling is InvalidInput, and one from 0 to n - 1 RefusedScale."""
     if g.n > ceiling:
+        require_at_least("ceiling", 0, ceiling)
         raise RefusedScale(f"oracle refused for n={g.n} > {ceiling}")
     return OptimumWitness(*min_good_set(g, False))
 
 
 def min_locating_dominating(g: Graph, ceiling: int = MIN_SET_CEILING) -> OptimumWitness:
-    """LD(G): smallest locating-dominating set, first witness in combinations order."""
+    """LD(G): smallest locating-dominating set, first witness in combinations
+    order.  Ceilings as in min_locating."""
     if g.n > ceiling:
+        require_at_least("ceiling", 0, ceiling)
         raise RefusedScale(f"oracle refused for n={g.n} > {ceiling}")
     return OptimumWitness(*min_good_set(g, True))
 

@@ -142,6 +142,20 @@ def ref_labeled_edges(n):
         yield [pair for t, pair in enumerate(pairs) if m >> t & 1]
 
 
+def ref_labeled_neighbourhoods(n, m):
+    """Neighbour sets of the labeled graph with triangle pattern m on n
+    vertices: bit t of m selects the t-th pair in the column-major order
+    (0,1),(0,2),(1,2),(0,3),..."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    bits = format(m, f"0{len(pairs)}b")[::-1] if pairs else ""
+    nbr = [set() for _ in range(n)]
+    for (i, j), bit in zip(pairs, bits):
+        if bit == "1":
+            nbr[i].add(j)
+            nbr[j].add(i)
+    return nbr
+
+
 def ref_twins(g):
     nbr = neighborhoods(g)
     out = []

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
+from locdom import bound, location
 from locdom.bound import (
     _empty_start,
     _good_set,
@@ -36,6 +37,7 @@ from locdom.graphs import (
 )
 from locdom.location import (
     _nibble_tables,
+    extend_to_dominating,
     is_locating,
     is_locating_dominating,
     miss_planes,
@@ -338,6 +340,13 @@ class TestMaxScoreExact:
         with pytest.raises(RefusedScale):
             max_score_exact(g)
 
+    def test_negative_ceiling(self, p4):
+        # misuse, as the CLI's options read it; a ceiling of 0 still refuses
+        with pytest.raises(InvalidInput, match="^ceiling must be at least 0, got -3$"):
+            max_score_exact(p4, ceiling=-3)
+        with pytest.raises(RefusedScale):
+            max_score_exact(p4, ceiling=0)
+
 
 @settings(derandomize=True, deadline=None)
 @given(small_graphs())
@@ -550,6 +559,12 @@ class TestConstruct:
         with pytest.raises(TwinsPresent):
             construct_ld(c4)
 
+    def test_negative_max_exact(self, p4):
+        with pytest.raises(InvalidInput, match="^max_exact must be at least 0, got -3$"):
+            construct_ld(p4, max_exact=-3)
+        with pytest.raises(RefusedScale):
+            construct_ld(p4, max_exact=0)
+
     def test_empty_graph(self):
         r = construct_ld(new_graph(0, []))
         assert r.witness == 0 and r.ld_witness == 0
@@ -590,14 +605,11 @@ class TestConstruct:
         # the first two twin-free gnp graphs (p = 0.3, seeds from 1) at each
         # n, three rng seeds each: 18 runs, hashed byte for byte
         rows = []
-        for n in (30, 60, 100):
-            seeds = [s for s in range(1, 20) if is_twin_free(generate("gnp", n, 0.3, s))][:2]
-            for seed in seeds:
-                g = generate("gnp", n, 0.3, seed)
-                for rng in (1, 2, 3):
-                    r = construct_ld(g, mode="heuristic", rng_seed=rng)
-                    cands = [(c.tag, c.vertex_set, c.locating) for c in r.candidates]
-                    rows.append([n, seed, rng, r.witness, r.ld_witness, r.s_value, r.k, cands])
+        for n, seed, g in pinned_heuristic_graphs():
+            for rng in (1, 2, 3):
+                r = construct_ld(g, mode="heuristic", rng_seed=rng)
+                cands = [(c.tag, c.vertex_set, c.locating) for c in r.candidates]
+                rows.append([n, seed, rng, r.witness, r.ld_witness, r.s_value, r.k, cands])
         assert len(rows) == 18
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "18f9971681fe13f2c464d4547024f4e4c4158b954444fb57ff8ebcb465bbf850"
@@ -625,6 +637,62 @@ class TestConstruct:
                 continue
             r = construct_ld(g)
             assert r.ld_witness_size <= ld_size_limit(g.n)
+
+
+def pinned_heuristic_graphs():
+    """(n, seed, graph) of the first two twin-free gnp graphs (p = 0.3,
+    seeds from 1) at n = 30, 60 and 100."""
+    for n in (30, 60, 100):
+        seeds = [s for s in range(1, 20) if is_twin_free(generate("gnp", n, 0.3, s))][:2]
+        for seed in seeds:
+            yield n, seed, generate("gnp", n, 0.3, seed)
+
+
+class TestLdStep:
+    """construct_ld takes its LD witness from the walk that candidate_sets
+    made over the witness's complement: it must be the set that
+    extend_to_dominating, a walk of its own, gives."""
+
+    def test_every_small_graph(self):
+        checked = 0
+        for n in range(7):
+            for g in all_labeled_graphs(n):
+                if not is_twin_free(g):
+                    continue
+                runs = [construct_ld(g)]
+                runs += [construct_ld(g, mode="heuristic", rng_seed=rng) for rng in (1, 2, 3)]
+                for r in runs:
+                    assert r.ld_witness == extend_to_dominating(g, r.witness), encode_graph6(g)
+                checked += 1
+        assert checked > 14000
+
+    def test_heuristic_gnp(self):
+        family = [g for _, _, g in pinned_heuristic_graphs()]
+        family += [first_twin_free_gnp(n) for n in (120, 150, 200)]
+        for g in family:
+            for rng in (1, 2, 3):
+                r = construct_ld(g, mode="heuristic", rng_seed=rng)
+                assert r.ld_witness == extend_to_dominating(g, r.witness)
+
+    def test_one_walk_per_candidate_set(self, monkeypatch):
+        # an exact run walks each distinct candidate set once, the witness
+        # included, and walks nothing else
+        walk = location.outside_walk
+        walked = []
+
+        def counted(g, x):
+            walked.append(x)
+            return walk(g, x)
+
+        monkeypatch.setattr(location, "outside_walk", counted)
+        monkeypatch.setattr(bound, "outside_walk", counted)
+        family = [g for n in range(1, 6) for g in all_labeled_graphs(n) if is_twin_free(g)]
+        family += [g for g in random_graphs(40, 7, 14, p=0.3, seed0=173) if is_twin_free(g)]
+        assert len(family) > 300
+        for g in family:
+            walked.clear()
+            r = construct_ld(g)
+            assert sorted(walked) == sorted({c.vertex_set for c in r.candidates}), encode_graph6(g)
 
 
 def first_twin_free_gnp(n):

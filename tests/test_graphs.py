@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from locdom.errors import InvalidInput, RefusedScale
@@ -18,7 +20,15 @@ from locdom.graphs import (
 )
 
 from conftest import random_graphs
-from oracles import ref_gnp_edges, ref_labeled_edges, ref_splitmix64_outputs, ref_twins, to_set
+from oracles import (
+    ref_gnp_edges,
+    ref_labeled_edges,
+    ref_labeled_neighbourhoods,
+    ref_splitmix64_outputs,
+    ref_twins,
+    to_mask,
+    to_set,
+)
 
 SEEDS = (0, 1, 2**64 - 1, -5, 2**70)
 
@@ -271,6 +281,32 @@ class TestEnumeration:
         for n in range(7):
             for m, edges in enumerate(ref_labeled_edges(n)):
                 assert labeled_graph(n, m) == new_graph(n, edges)
+
+
+def seeded_pattern(n, density, seed):
+    """A triangle pattern on n vertices, each pair present with the given density."""
+    rnd = random.Random(seed)
+    bits = "".join("1" if rnd.random() < density else "0" for _ in range(n * (n - 1) // 2))
+    return int(bits[::-1] or "0", 2)
+
+
+class TestLabeledGraphTranspose:
+    """labeled_graph builds its rows by a bit-matrix transpose at row width
+    w, the power of two >= max(8, n); the orders sit on both sides of each
+    width and the patterns are empty, complete and random."""
+
+    ORDERS = (7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_matches_reference(self, n):
+        pairs = n * (n - 1) // 2
+        patterns = [0, (1 << pairs) - 1]
+        patterns += [seeded_pattern(n, density, n * 10 + i) for i, density in enumerate((0.1, 0.5, 0.9))]
+        for m in patterns:
+            expected = tuple(to_mask(nbr) for nbr in ref_labeled_neighbourhoods(n, m))
+            g = labeled_graph(n, m)
+            assert (g.n, g.adj) == (n, expected), m.bit_count()
+            assert decode_graph6(encode_pattern(n, m)) == g
 
 
 class TestTwins:

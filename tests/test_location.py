@@ -18,6 +18,7 @@ from locdom.location import (
     is_locating,
     is_locating_dominating,
     least,
+    outside_walk,
     representatives,
     score_table,
     x_partition,
@@ -293,6 +294,7 @@ def test_size_counters():
         is_dominating,
         is_locating_dominating,
         extend_to_dominating,
+        outside_walk,
         lambda g, x: x_partition(g, x, 1),
     ],
     ids=[
@@ -303,6 +305,7 @@ def test_size_counters():
         "is_dominating",
         "is_locating_dominating",
         "extend_to_dominating",
+        "outside_walk",
         "x_partition",
     ],
 )

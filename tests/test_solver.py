@@ -107,6 +107,14 @@ class TestMinSets:
         with pytest.raises(RefusedScale):
             min_locating(g)
 
+    @pytest.mark.parametrize("oracle", [min_locating, min_locating_dominating])
+    def test_negative_ceiling(self, p4, oracle):
+        # misuse, as the CLI's --ceiling reads it; a ceiling of 0 still refuses
+        with pytest.raises(InvalidInput, match="^ceiling must be at least 0, got -1$"):
+            oracle(p4, ceiling=-1)
+        with pytest.raises(RefusedScale):
+            oracle(p4, ceiling=0)
+
     @pytest.mark.parametrize("n,seed", [(17, 1), (18, 5)])
     def test_cross_block_tie_break(self, n, seed):
         # witnesses above block 0 (2^16 subsets a block): gnp 17 seed 1 has
