@@ -22,8 +22,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import BoundViolation, InvalidInput, RefusedScale, TwinsPresent, VerificationFailed, require_at_least
-from .graphs import Graph, is_twin_free, lane_bytes, members, splitmix64_lanes
+from .errors import BoundViolation, InvalidInput, TwinsPresent, VerificationFailed, refuse, require_at_least
+from .graphs import Graph, is_twin_free, members, random_subset
 from .location import fewest_repeats, first_split, outside_walk, refine, representatives, x_partition
 
 EXACT_CEILING_DEFAULT = 24
@@ -200,8 +200,7 @@ def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int
     InvalidInput, and one from 0 to n - 1 RefusedScale.
     """
     if g.n > ceiling:
-        require_at_least("ceiling", 0, ceiling)
-        raise RefusedScale(f"exact maximization refused for n={g.n} > {ceiling}")
+        refuse("exact maximization", g.n, ceiling)
     r = first_split(g, pinned=False)
     if r is not None:
         return g.n, r
@@ -384,16 +383,6 @@ def _empty_start(g: Graph) -> _Run:
     return _thinned_run(g, 0)
 
 
-# byte b to the digit of its bit 0
-_LOW_BIT_DIGIT = bytes(ord("0") + (b & 1) for b in range(256))
-
-
-def _random_subset(n: int, seed: int) -> int:
-    """The set of the v < n whose splitmix64 output v from seed is odd."""
-    low = lane_bytes(splitmix64_lanes(seed, n), n, 0)
-    return int(low.translate(_LOW_BIT_DIGIT)[::-1] or b"0", 2)
-
-
 def locating_size_limit(n: int) -> int:
     return (5 * n - 1) // 8
 
@@ -436,7 +425,7 @@ def construct_ld(
         d, cands, best = _run(g, decompose(g, good, s_max=s_value), strict=True)
     else:
         d, cands, best = _empty_start(g)
-        seeded = _thinned_run(g, _random_subset(g.n, rng_seed))
+        seeded = _thinned_run(g, random_subset(g.n, rng_seed))
         if seeded[2].size < best.size:
             d, cands, best = seeded
     witness = best.vertex_set

@@ -494,8 +494,10 @@ def gen(kind, n, p, seed, count) -> None:
             if given:
                 raise InvalidInput(f"{name} applies to gnp only")
     if kind == "all":
-        for g in graphs.all_labeled_graphs(n):
-            click.echo(graphs.encode_graph6(g))
+        # graph m of all:n is labeled_graph(n, m), whose graph6 encode_pattern
+        # writes off m alone, so no graph is built
+        for m in range(graphs.labeled_graph_count(n)):
+            click.echo(graphs.encode_pattern(n, m))
     elif kind == "gnp":
         for i in range(count):
             g = graphs.generate("gnp", n, p, None if seed is None else seed + i)

@@ -1,6 +1,9 @@
 """Exception hierarchy shared by all locdom modules: one class per outcome
-that some caller tells apart, and the one check of an int's floor that the
-CLI's options and the library's ceilings share."""
+that some caller tells apart, the one check of an int's floor that the
+CLI's options and the library's ceilings share, and the one refusal of an
+order above a ceiling."""
+
+from typing import NoReturn
 
 
 class LocdomError(Exception):
@@ -34,3 +37,11 @@ def require_at_least(name: str, floor: int, value: int) -> int:
     if value < floor:
         raise InvalidInput(f"{name} must be at least {floor}, got {value}")
     return value
+
+
+def refuse(what: str, n: int, ceiling: int) -> NoReturn:
+    """Raise for an order n above ceiling: InvalidInput when the ceiling
+    itself is negative (require_at_least), else RefusedScale.  Each caller
+    compares n with its ceiling first, so a call within it pays nothing."""
+    require_at_least("ceiling", 0, ceiling)
+    raise RefusedScale(f"{what} refused for n={n} > {ceiling}")

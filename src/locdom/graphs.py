@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 from itertools import compress, islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import InvalidInput, RefusedScale
+from .errors import InvalidInput, refuse
 
 GRAPH6_MAX_ORDER = 258047
 ENUM_MAX_ORDER = 7  # 2^21 graphs at n=7 is the practical full-enumeration ceiling
@@ -237,8 +237,9 @@ def parse_edge_list(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic generators.  The gnp generator draws from splitmix64, a
-# 64-bit mixing PRNG pinned here by its constants so that seeded corpora
+# Deterministic generators.  The gnp generator and random_subset (the
+# seeded start of the heuristic bound) draw from splitmix64, a 64-bit
+# mixing PRNG pinned here by its constants so that seeded corpora
 # reproduce bit-identically across implementations:
 #   state += 0x9E3779B97F4A7C15
 #   z = state
@@ -285,7 +286,7 @@ def splitmix64_lanes(seed: int, count: int) -> int:
     return (z ^ z >> 31) & mask
 
 
-def lane_bytes(lanes: int, count: int, offset: int) -> bytes:
+def _lane_bytes(lanes: int, count: int, offset: int) -> bytes:
     """Byte offset (0..15) of each of count lanes, lane 0 first."""
     return lanes.to_bytes(count * _LANE // 8, "little")[offset :: _LANE // 8]
 
@@ -294,6 +295,8 @@ def lane_bytes(lanes: int, count: int, offset: int) -> bytes:
 # is 0 exactly when its output is below threshold); no other byte occurs
 _BELOW_DIGIT = bytes.maketrans(b"\x00\x01", b"10")
 _BELOW_FLAG = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+# byte b to the digit of its bit 0
+_LOW_BIT_DIGIT = bytes(ord("0") + (b & 1) for b in range(256))
 
 
 GENERATOR_KINDS = ("path", "cycle", "complete", "gnp")
@@ -324,13 +327,20 @@ def generate(kind: str, n: int, p: float | None = None, seed: int | None = None)
     for u in range(n - 1):
         count = n - 1 - u  # the pairs (u, v), v = u+1..n-1
         # bit 64 of a lane is set iff its output is at least the threshold
-        above = lane_bytes(splitmix64_lanes(state, count) + _lanes(over, count), count, 8)
+        above = _lane_bytes(splitmix64_lanes(state, count) + _lanes(over, count), count, 8)
         state = (state + count * _GAMMA) & _M64
         adj[u] |= int(above.translate(_BELOW_DIGIT)[::-1], 2) << u + 1
         bit = 1 << u
         for v in compress(range(u + 1, n), above.translate(_BELOW_FLAG)):
             adj[v] |= bit
     return Graph(n, tuple(adj))
+
+
+def random_subset(n: int, seed: int) -> int:
+    """The set of the v < n whose splitmix64 output v from seed is odd, read
+    off byte 0 of each lane."""
+    low = _lane_bytes(splitmix64_lanes(seed, n), n, 0)
+    return int(low.translate(_LOW_BIT_DIGIT)[::-1] or b"0", 2)
 
 
 def labeled_graph_count(n: int) -> int:
@@ -342,7 +352,7 @@ def labeled_graph_count(n: int) -> int:
     if n < 0:
         raise InvalidInput(f"negative vertex count {n}")
     if n > ENUM_MAX_ORDER:
-        raise RefusedScale(f"full enumeration refused for n={n} > {ENUM_MAX_ORDER}")
+        refuse("full enumeration", n, ENUM_MAX_ORDER)
     return 1 << n * (n - 1) // 2
 
 
@@ -370,9 +380,12 @@ def _swap_mask(w: int, k: int) -> int:
     return mask
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
 def _matrix_plan(w: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int], ...]]:
-    """labeled_graph's steps at row width w, cached for one w at a time.
+    """labeled_graph's steps at row width w, cached for every w seen, so a
+    corpus whose orders straddle a power of two builds each width once.
+    The widths are powers of two, so all those below w hold less than a
+    third of the masks of w.
 
     Bit w*r + c of the matrix is row r, column c.  First, for each j < w,
     the mask of j bits, j, and the offset j*w of row j.  Then (shift, mask)

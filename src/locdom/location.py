@@ -17,7 +17,8 @@ pattern h of the vertices from c up, read as one 2^c-bit plane, so no plane
 is wider than 2^BLOCK_BITS bits at any n.  V \\ a lies in block top ^ h, top
 = 2^(n - c) - 1, at the complement of x.  miss_planes holds the planes of
 the pairs and closed neighborhoods that a locating (locating-dominating) set
-must hit, and vertex_planes the same split by vertex; count_planes sums
+must hit, and vertex_planes the located ones split by vertex, whose
+block_misses at h are the duplicate planes of block h; count_planes sums
 planes into bit-sliced counters and least reads their minimum.  Four block
 scans read them: first_split (the first split of V into two locating sets),
 min_good_set (a smallest locating or locating-dominating set),
@@ -100,7 +101,7 @@ def representatives(classes: tuple[int, ...]) -> int:
 BLOCK_BITS = 16
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
 def _nibble_tables(c: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Entry j of table i is the plane "x misses j << 4i" over the 2^c subsets x of 0..c-1.
 
@@ -109,7 +110,9 @@ def _nibble_tables(c: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]
     of 2^w ones and 2^w zeros, built by doubling the first run; each table
     doubles in length with each of its vertices.  There is one table even
     when c = 0, so a lookup never finds none.  Returns the tables and their
-    single-vertex entries, the planes "w not in x" for w < c.
+    single-vertex entries, the planes "w not in x" for w < c.  Cached for
+    every c seen (at most BLOCK_BITS + 1 values, under 1 MB in all), so a
+    corpus whose orders straddle BLOCK_BITS builds each once.
     """
     size = 1 << c
     full = (1 << size) - 1
@@ -164,8 +167,8 @@ class MissPlanes(NamedTuple):
     so its planes at h (block_misses) mark the x for which h << c | x is not
     locating; dominated over the M_uv and every N[v], so they mark where it
     is not locating-dominating.  absent[w] is "w not in x".  Tuples, as
-    every caller of the memo shares them.  The same planes split by v are
-    vertex_planes, which only the score counters read.
+    every caller of the memo shares them.  The located planes split by v
+    are vertex_planes, which only the duplicate counts read.
     """
 
     c: int
@@ -226,9 +229,11 @@ def miss_planes(g: Graph) -> MissPlanes:
 def vertex_planes(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
     """miss_planes' located planes split by vertex, built per call, not memoized.
 
-    Entry v groups the pairs u < v by high part as MissPlanes does: its
-    planes at h mark the x for which v, outside h << c | x, has the trace
-    of some earlier vertex.  block_vertex_planes reads them.
+    Entry v groups the pairs u < v by high part as MissPlanes does, so its
+    block_misses at h, v's duplicate plane in block h, marks the x for
+    which v, outside h << c | x, has the trace of some earlier vertex
+    outside it.  The plane is empty wherever v is in h << c | x, as every
+    M_uv holds v, so fewest_repeats and score_table read it for every v.
     """
     groups: list[dict[int, int]] = [{} for _ in range(g.n)]
     _or_pair_planes(g, min(g.n, BLOCK_BITS), groups)
@@ -243,28 +248,6 @@ def block_misses(groups: tuple[tuple[int, int], ...], h: int) -> int:
         if not high & h:
             bad |= plane
     return bad
-
-
-def block_vertex_planes(
-    planes: MissPlanes, per_vertex: tuple[tuple[tuple[int, int], ...], ...], h: int
-) -> Iterator[tuple[int, int]]:
-    """Two planes over block h for each vertex v not in all its subsets.
-
-    The vertices from c up (miss_planes) are fixed to the pattern h, and
-    the 2^c subsets a = h << c | x below are read at once.  For each v the
-    planes are "v not in a" and "v is outside a with the trace of some
-    earlier vertex outside a": v and u < v are outside a with equal traces
-    iff a misses M_uv, so the second is block_misses of v's vertex_planes
-    at h, and lies within the first.  planes is miss_planes of the graph
-    and per_vertex its vertex_planes, built once for all the blocks.
-    """
-    c = planes.c
-    full = (1 << (1 << c)) - 1
-    for v, groups in enumerate(per_vertex):
-        if v < c:
-            yield planes.absent[v], block_misses(groups, h)
-        elif not h >> (v - c) & 1:  # else v is in every a of this block
-            yield full, block_misses(groups, h)
 
 
 def count_planes(planes: Iterable[int]) -> list[int]:
@@ -385,20 +368,24 @@ def score_table(g: Graph) -> bytearray:
 
     T[a] counts the vertices outside a that are the first of their trace
     class, so each block's scores are count_planes of the planes "v not in
-    a, and no earlier vertex outside a has its trace" (block_vertex_planes).
-    Each counter plane is spread to one byte per subset through its binary
+    a, and no earlier vertex outside a has its trace": "v not in a" xor
+    v's duplicate plane (vertex_planes), which lies within it.  Each
+    counter plane is spread to one byte per subset through its binary
     digits, and the byte planes of a block are ORed into its slice of the
     table.
     """
     n = g.n
-    planes, per_vertex = miss_planes(g), vertex_planes(g)
-    c = planes.c
+    c = min(n, BLOCK_BITS)
+    absent, per_vertex = _nibble_tables(c)[1], vertex_planes(g)
     size = 1 << c
+    full = (1 << size) - 1
     digits = f"0{size}b"
     table = bytearray(1 << n)
     for h in range(1 << (n - c)):
         total = 0
-        firsts = [outside ^ repeat for outside, repeat in block_vertex_planes(planes, per_vertex, h)]
+        # "v not in a": absent[v] below c, and from c up all of the block or none
+        outside = absent + tuple(0 if h >> w & 1 else full for w in range(n - c))
+        firsts = [out ^ block_misses(groups, h) for out, groups in zip(outside, per_vertex)]
         for j, count in enumerate(count_planes(firsts)):
             # format puts bit size-1 first, so big-endian bytes put bit x at byte x
             total |= int.from_bytes(format(count, digits).encode().translate(_DIGIT_TO_BYTE[j]), "big")
@@ -413,9 +400,10 @@ def fewest_repeats(g: Graph) -> tuple[int, Iterator[int]]:
     No table of all 2^n counts is built.  The plane of a block's x with
     V \\ r locating is ~block_misses of the located planes at top ^ h read
     at complements, as in first_split, and a block without one is skipped.
-    D is count_planes of the duplicate planes of block_vertex_planes, and
-    least gives its minimum on that plane with the plane of the x reaching
-    it; the scan keeps those planes for the blocks at the fewest so far.
+    D is count_planes of the duplicate planes of every vertex
+    (vertex_planes), and least gives its minimum on that plane with the
+    plane of the x reaching it; the scan keeps those planes for the blocks
+    at the fewest so far.
     """
     planes, per_vertex = miss_planes(g), vertex_planes(g)
     c, located = planes.c, planes.located
@@ -427,7 +415,7 @@ def fewest_repeats(g: Graph) -> tuple[int, Iterator[int]]:
         mask = full ^ at_complements(block_misses(located, top ^ h), c)
         if not mask:
             continue
-        repeats = [repeat for _, repeat in block_vertex_planes(planes, per_vertex, h)]
+        repeats = [block_misses(groups, h) for groups in per_vertex]
         dups, plane = least(count_planes(repeats), mask)
         if dups < fewest:
             fewest, reached = dups, []

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .errors import InvalidInput, RefusedScale, require_at_least
+from .errors import InvalidInput, refuse
 from .graphs import Graph
 from .location import first_split, min_good_set, score_table
 
@@ -55,8 +55,7 @@ def min_locating(g: Graph, ceiling: int = MIN_SET_CEILING) -> OptimumWitness:
 
     A negative ceiling is InvalidInput, and one from 0 to n - 1 RefusedScale."""
     if g.n > ceiling:
-        require_at_least("ceiling", 0, ceiling)
-        raise RefusedScale(f"oracle refused for n={g.n} > {ceiling}")
+        refuse("oracle", g.n, ceiling)
     return OptimumWitness(*min_good_set(g, False))
 
 
@@ -64,8 +63,7 @@ def min_locating_dominating(g: Graph, ceiling: int = MIN_SET_CEILING) -> Optimum
     """LD(G): smallest locating-dominating set, first witness in combinations
     order.  Ceilings as in min_locating."""
     if g.n > ceiling:
-        require_at_least("ceiling", 0, ceiling)
-        raise RefusedScale(f"oracle refused for n={g.n} > {ceiling}")
+        refuse("oracle", g.n, ceiling)
     return OptimumWitness(*min_good_set(g, True))
 
 
@@ -77,7 +75,7 @@ def two_locating_partition(g: Graph) -> PartitionWitness:
     location.first_split does the search.
     """
     if g.n > PARTITION2_CEILING:
-        raise RefusedScale(f"bipartition search refused for n={g.n} > {PARTITION2_CEILING}")
+        refuse("bipartition search", g.n, PARTITION2_CEILING)
     if g.n == 0:
         return PartitionWitness(0, 0, True)
     x = first_split(g, pinned=True)
@@ -164,7 +162,7 @@ def s_k_of_graph(g: Graph, k: int) -> SkResult:
     reaches the maximum.  Its blocks are bitmasks indexed by first occurrence.
     """
     if g.n > SK_CEILING:
-        raise RefusedScale(f"k-partition search refused for n={g.n} > {SK_CEILING}")
+        refuse("k-partition search", g.n, SK_CEILING)
     if not 1 <= k <= g.n:
         raise InvalidInput(f"k={k} outside 1..{g.n}")
     value = _completion(g, [1], k, 0)  # every partition has vertex 0 in block 0

@@ -4,8 +4,10 @@ The heavy shared work (the exhaustive twin-free sweep for n <= 6) runs once
 in a session fixture and is reused across criteria.
 """
 
+import math
 import random
 
+import networkx as nx
 import pytest
 from click.testing import CliRunner
 
@@ -248,3 +250,29 @@ def test_criterion_8_corpus_determinism(tmp_path):
         f"--jobs 1 vs --jobs 8 corpus outputs byte-identical: {identical}"
     )
     assert identical
+
+
+def test_criterion_9_atlas_n7():
+    # every graph on 7 vertices up to isomorphism, from the graph atlas that
+    # ships with networkx (Read & Wilson): all 324 twin-free ones certify
+    # with a split (S = n, k = 0); LD = 4 only with an isolated vertex.  The
+    # 36 twin-free atlas graphs with n = 6 give back all:6's twin-free count
+    atlas = nx.graph_atlas_g()
+
+    def twin_free(order):
+        found = [(h, new_graph(order, list(h.edges()))) for h in atlas if h.number_of_nodes() == order]
+        return [(h, g) for h, g in found if is_twin_free(g)]
+
+    seven = [g for _, g in twin_free(7)]
+    assert len(seven) == 324
+    reports = [construct_ld(g) for g in seven]
+    assert all(r.certified and (r.s_value, r.k) == (7, 0) for r in reports)
+    ld = [min_locating_dominating(g).size for g in seven]
+    assert (ld.count(3), ld.count(4)) == (293, 31)
+    assert all(0 in g.adj for g, size in zip(seven, ld) if size == 4)
+
+    six = [h for h, _ in twin_free(6)]
+    automorphisms = [sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter()) for h in six]
+    labeled = sum(math.factorial(6) // count for count in automorphisms)
+    assert (len(six), labeled) == (36, 13824)
+    _report(f"ACCEPTANCE 9 (PASS): {len(seven)} twin-free atlas graphs n=7 certified; {labeled} labeled n=6")

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 
 from locdom import bound, location
 from locdom.bound import (
+    CANDIDATE_TAGS,
     _empty_start,
     _good_set,
     _max_score_full,
-    _random_subset,
     build_z,
     candidate_sets,
     construct_ld,
@@ -47,7 +47,7 @@ from locdom.location import (
 )
 
 from conftest import random_graphs, small_graphs
-from oracles import ref_build_z, ref_max_score, ref_s, ref_score_sum, ref_splitmix64_outputs, to_mask, to_set
+from oracles import ref_build_z, ref_max_score, ref_s, ref_score_sum, to_mask, to_set
 
 # good sets with two non-trivial complement classes (graphs have twins, which
 # the decomposition itself permits; only the full bound pipeline forbids them)
@@ -544,6 +544,34 @@ class TestCandidates:
             if k >= 1:
                 assert cands["eq4"].size <= c + 3 * k - 1
 
+    def test_k_positive_on_graphs_with_twins(self):
+        # the exact k >= 1 path, which no twin-free graph seen so far reaches:
+        # every labeled graph with twins and n <= 6, its k-maximal good set,
+        # the decomposition and the unchecked candidates.  S < n exactly
+        # when k >= 1; there the two size checks hold on every graph, and
+        # only eq3 and eq4 fail to locate
+        graphs = k_positive = passed = 0
+        not_locating = dict.fromkeys(CANDIDATE_TAGS, 0)
+        for n in range(7):
+            for g in all_labeled_graphs(n):
+                if is_twin_free(g):
+                    continue
+                graphs += 1
+                s, good = max_score_exact(g)
+                d = decompose(g, good, s_max=s)
+                cands = candidate_sets(g, d, strict=False)
+                assert (d.k >= 1) == (s < n)
+                if s == n:
+                    continue
+                k_positive += 1
+                assert d.a_prime.bit_count() <= d.k
+                assert cands[3].size <= d.c.bit_count() + 3 * d.k - 1
+                for c in cands:
+                    not_locating[c.tag] += not c.locating
+                passed += all(c.locating for c in cands)
+        assert (graphs, k_positive, passed) == (19718, 2808, 416)
+        assert not_locating == {"eq1": 0, "eq2": 0, "eq3": 2392, "eq4": 178}
+
 
 class TestConstruct:
     def test_p4(self, p4):
@@ -613,13 +641,6 @@ class TestConstruct:
         assert len(rows) == 18
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "18f9971681fe13f2c464d4547024f4e4c4158b954444fb57ff8ebcb465bbf850"
-
-    def test_random_start_matches_reference(self):
-        # vertex v is in the seeded start iff splitmix64 output v is odd
-        for seed in (0, 1, 0x5EED, 2**64 - 1, -5, 2**70):
-            outputs = ref_splitmix64_outputs(seed, 130)
-            for n in range(131):
-                assert _random_subset(n, seed) == to_mask(v for v in range(n) if outputs[v] & 1), (n, seed)
 
     def test_heuristic_vs_exact(self):
         # heuristic witness is a valid locating set, never smaller than L(G)

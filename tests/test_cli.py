@@ -96,6 +96,22 @@ class TestBound:
         assert result.stdout == ""
         assert result.stderr.splitlines() == ["error: planted violation"]
 
+    @pytest.mark.parametrize(
+        "limit,message",
+        [
+            ("locating_size_limit", "certified witness of size 2 exceeds 1 for n=4"),
+            ("ld_size_limit", "LD witness of size 3 exceeds 1"),
+        ],
+    )
+    def test_certified_limit_exceeded(self, runner, monkeypatch, limit, message):
+        # P4's witness has 2 vertices and its LD witness 3; a limit of 1
+        # makes construct_ld's own check raise
+        monkeypatch.setattr(bound, limit, lambda n: 1)
+        result = runner.invoke(main, ["bound", "-"], input="Ch\n")
+        assert result.exit_code == EXIT_BOUND
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: {message}"]
+
     def test_default_ceiling_certifies_n24(self, runner):
         # gen path 24 | bound -, at the default exact ceiling
         p24 = runner.invoke(main, ["gen", "path", "24"]).stdout
@@ -175,6 +191,13 @@ class TestInputErrors:
         assert result.stdout == ""
         assert result.stderr.splitlines() == ["error: -: character '!' outside graph6 alphabet"]
 
+    @pytest.mark.parametrize("text", ["", "\n \n", "# comment only\n"], ids=["empty", "blank", "comment"])
+    def test_no_graph(self, runner, text):
+        result = runner.invoke(main, ["bound", "-"], input=text)
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: -: no graph found in input"]
+
     def test_second_graph6_line_rejected(self, runner):
         # a single-graph command reads one graph; blank and comment lines
         # are still skipped around it
@@ -198,6 +221,15 @@ class TestSolve:
     def test_refused_scale(self, runner):
         result = runner.invoke(main, ["solve", "-", "--ceiling", "3"], input="Ch\n")
         assert result.exit_code == EXIT_SCALE
+
+    def test_bad_locating_witness_caught(self, runner, monkeypatch):
+        # the empty set does not locate P4; in process, beside the python -O
+        # run of test_bad_witness_caught_under_optimize
+        monkeypatch.setattr(solver, "min_locating", lambda g, ceiling: solver.OptimumWitness(0, 0))
+        result = runner.invoke(main, ["solve", "-"], input="Ch\n")
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: locating witness failed re-verification"]
 
 
 class TestNegativeCeiling:
@@ -428,6 +460,19 @@ class TestCorpus:
         assert "q1_found" not in records[1]
         assert result.stderr.splitlines() == [f"error: line 2: {message}"]
 
+    def test_q1_not_found_counted(self, runner, tmp_path, monkeypatch):
+        # --max-exact 4 puts C5 in heuristic mode, where q1 comes from the
+        # bipartition search; a search that finds no split is counted
+        def no_split(g, **kwargs):
+            return solver.PartitionWitness(0, 0, False)
+
+        result, records = self._sweep_patched_on_c5(
+            runner, tmp_path, monkeypatch, solver, "two_locating_partition", no_split, ["--max-exact", "4"], exit_code=0
+        )
+        assert records[1]["mode"] == "heuristic" and records[1]["q1_found"] is False
+        assert result.stdout.splitlines()[-2:] == ["4,2,2,2,0,0", "5,1,1,2,0,1"]
+        assert result.stderr == ""
+
     def test_error_names_file_line(self, runner, tmp_path):
         # blank and comment lines make no record but still count as lines
         src = tmp_path / "mixed.g6"
@@ -481,6 +526,13 @@ class TestCorpus:
         assert result.exit_code == EXIT_PARSE
         assert result.stdout == ""
         assert result.stderr.splitlines() == ["error: negative vertex count -1"]
+
+    @pytest.mark.parametrize("source", ["all:x", "all:", "all:5.0"])
+    def test_bad_order(self, runner, source):
+        result = runner.invoke(main, ["corpus", source])
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"error: bad vertex count in {source!r}"]
 
     def test_refused_order(self, runner):
         # checked in the parent before any worker starts

@@ -15,6 +15,7 @@ from locdom.graphs import (
     members,
     new_graph,
     parse_edge_list,
+    random_subset,
     set_of,
     splitmix64_lanes,
 )
@@ -54,6 +55,10 @@ class TestNewGraph:
     def test_loop_rejected(self):
         with pytest.raises(InvalidInput, match="^loop at vertex 1$"):
             new_graph(3, [(1, 1)])
+
+    def test_negative_order(self):
+        with pytest.raises(InvalidInput, match="^negative vertex count -1$"):
+            new_graph(-1, [])
 
     def test_symmetry_irreflexivity(self):
         for g in random_graphs(20, 1, 12):
@@ -122,6 +127,11 @@ class TestGraph6:
             with pytest.raises(InvalidInput, match="outside graph6 alphabet"):
                 decode_graph6(text)
 
+    @pytest.mark.parametrize("text", ["", " \t\r\n", ">>graph6<<\n"], ids=["empty", "blanks", "header-only"])
+    def test_blank(self, text):
+        with pytest.raises(InvalidInput, match="^empty graph6 string$"):
+            decode_graph6(text)
+
     def test_truncated(self):
         with pytest.raises(InvalidInput, match="truncated bit stream: 0 < 3 chunks"):
             decode_graph6("E")  # n=6 needs bits
@@ -181,8 +191,12 @@ class TestEdgeList:
             ("# P3?\nn 3\n\n1 7\n", r"line 4: edge \(1, 7\) outside range 0\.\.2"),
             ("n -2\n", r"line 1: negative vertex count -2"),
             ("n -2\n0 1\n", r"line 1: negative vertex count -2"),
+            ("# header\nn three\n", r"line 2: bad vertex count 'three'"),
+            ("n 3\n0 1 2\n", r"line 2: expected 'u v', got '0 1 2'"),
+            ("", r"no 'n <count>' header found"),
+            ("# only a comment\n\n", r"no 'n <count>' header found"),
         ],
-        ids=["loop", "out-of-range", "negative", "negative-then-edge"],
+        ids=["loop", "out-of-range", "negative", "negative-then-edge", "bad-count", "three-tokens", "empty", "no-header"],
     )
     def test_error_names_line(self, text, message):
         with pytest.raises(InvalidInput, match=f"^{message}$"):
@@ -254,6 +268,13 @@ class TestSplitmix64Lanes:
         for i in (1, 64, 299):
             tail = splitmix64_lanes(3 + i * 0x9E3779B97F4A7C15, 300 - i)
             assert unpack_lanes(tail, 300 - i) == whole[i:]
+
+    def test_random_start_matches_reference(self):
+        # vertex v is in the seeded start iff splitmix64 output v is odd
+        for seed in (0, 1, 0x5EED, 2**64 - 1, -5, 2**70):
+            outputs = ref_splitmix64_outputs(seed, 130)
+            for n in range(131):
+                assert random_subset(n, seed) == to_mask(v for v in range(n) if outputs[v] & 1), (n, seed)
 
 
 class TestEnumeration:
