@@ -21,6 +21,7 @@ import traceback
 from collections import deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from functools import partial
+from itertools import islice
 from typing import Iterable, Iterator
 
 import click
@@ -274,6 +275,9 @@ def sk(input: str, k: int) -> None:
 # workers
 _CHUNK_MAX = 256
 
+# graph6 lines per write of gen
+_GEN_CHUNK = 4096
+
 _SUMMARY_FIELDS = ("graphs", "twin_free", "max_ld", "bound_violations", "q1_not_found")
 
 
@@ -496,14 +500,16 @@ def gen(kind, n, p, seed, count) -> None:
     if kind == "all":
         # graph m of all:n is labeled_graph(n, m), whose graph6 encode_pattern
         # writes off m alone, so no graph is built
-        for m in range(graphs.labeled_graph_count(n)):
-            click.echo(graphs.encode_pattern(n, m))
+        lines = map(partial(graphs.encode_pattern, n), range(graphs.labeled_graph_count(n)))
     elif kind == "gnp":
-        for i in range(count):
-            g = graphs.generate("gnp", n, p, None if seed is None else seed + i)
-            click.echo(graphs.encode_graph6(g))
+        seeds = (None if seed is None else seed + i for i in range(count))
+        lines = (graphs.encode_graph6(graphs.generate("gnp", n, p, s)) for s in seeds)
     else:
-        click.echo(graphs.encode_graph6(graphs.generate(kind, n)))
+        lines = iter([graphs.encode_graph6(graphs.generate(kind, n))])
+    # one write per chunk of lines, as click.echo flushes after every line
+    # and all:7 is two million lines
+    while chunk := "".join(line + "\n" for line in islice(lines, _GEN_CHUNK)):
+        sys.stdout.write(chunk)
 
 
 @main.command()

@@ -11,19 +11,26 @@ each candidate's walk so that construct_ld takes its locating-dominating
 witness from it without walking the witness again.
 
 The same predicates over all subsets at once are bit planes, and this module
-alone knows their layout.  A subset is a = h << c | x, c = min(n,
-BLOCK_BITS): a block of the 2^c subsets x of the c lowest vertices for each
-pattern h of the vertices from c up, read as one 2^c-bit plane, so no plane
-is wider than 2^BLOCK_BITS bits at any n.  V \\ a lies in block top ^ h, top
-= 2^(n - c) - 1, at the complement of x.  miss_planes holds the planes of
-the pairs and closed neighborhoods that a locating (locating-dominating) set
-must hit, and vertex_planes the located ones split by vertex, whose
-block_misses at h are the duplicate planes of block h; count_planes sums
-planes into bit-sliced counters and least reads their minimum.  Four block
-scans read them: first_split (the first split of V into two locating sets),
-min_good_set (a smallest locating or locating-dominating set),
-fewest_repeats (the fewest duplicates over the r with V \\ r locating) and
-score_table (every separation score).
+alone knows their layout.  A subset is a = h << c | x: a block of the 2^c
+subsets x of the c lowest vertices for each pattern h of the k = n - c high
+vertices, read as one 2^c-bit plane.  c = min(n, BLOCK_BITS), 12, for
+miss_planes, which first_split and min_good_set read, and min(n,
+TABLE_BITS), 16, for vertex_planes, which the two full sums read: they
+count every block they reach, and a count costs per plane operation.  So
+no plane is wider than 2^16 bits at any n.  V \\ a lies in
+block top ^ h, top = 2^k - 1, at the complement of x.  miss_planes holds the
+planes of the pairs and closed neighborhoods that a locating (locating-
+dominating) set must hit, and vertex_planes the located ones split by
+vertex, the duplicate planes, each grouped by the part of its set above c.
+One walk over the high vertices (_walk) gives a scan its blocks in
+increasing h: it ORs each group in once, at the node that decides its
+lowest high vertex, and skips a subtree where the scan's planes already
+leave no candidate.  count_planes sums planes into bit-sliced counters and
+least reads their minimum.  Four block scans read the walk: first_split
+(the first split of V into two locating sets), min_good_set (a smallest
+locating or locating-dominating set), fewest_repeats (the fewest
+duplicates over the r with V \\ r locating) and score_table (every
+separation score).
 
 The separation score s(a) is |V \\ a| - D(a), where D(a) counts the
 vertices outside a whose trace on a repeats that of an earlier outside
@@ -34,7 +41,7 @@ over such r, and score_table counts the first vertex of each trace class.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -97,8 +104,11 @@ def representatives(classes: tuple[int, ...]) -> int:
 
 
 # the subset planes are built one block of the subsets of this many low
-# vertices at a time, so no plane is wider than 2^BLOCK_BITS bits
-BLOCK_BITS = 16
+# vertices at a time: BLOCK_BITS for miss_planes, TABLE_BITS for
+# vertex_planes, as the full sums count every block they reach and a count
+# costs per plane operation; so no plane is wider than 2^TABLE_BITS bits
+BLOCK_BITS = 12
+TABLE_BITS = 16
 
 
 @lru_cache(maxsize=None)
@@ -111,8 +121,8 @@ def _nibble_tables(c: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]
     doubles in length with each of its vertices.  There is one table even
     when c = 0, so a lookup never finds none.  Returns the tables and their
     single-vertex entries, the planes "w not in x" for w < c.  Cached for
-    every c seen (at most BLOCK_BITS + 1 values, under 1 MB in all), so a
-    corpus whose orders straddle BLOCK_BITS builds each once.
+    every c seen (at most TABLE_BITS + 1 values, under 1 MB in all), so a
+    corpus whose orders straddle a block width builds each once.
     """
     size = 1 << c
     full = (1 << size) - 1
@@ -148,10 +158,13 @@ def _size_counters() -> tuple[int, ...]:
     return tuple(sizes)
 
 
-# built once at import (40 KiB), so no first call at any width pays for
+# built once at import (2 KiB), so no first call at any width pays for
 # them; least on a block of 2^c subsets reads only their low 2^c bits, as
 # its mask has no higher bit
 SIZE_COUNTERS = _size_counters()
+
+# (high part, plane) pairs, the first with high part 0 (see MissPlanes)
+Groups = tuple[tuple[int, int], ...]
 
 
 class MissPlanes(NamedTuple):
@@ -163,18 +176,20 @@ class MissPlanes(NamedTuple):
     a pattern h, a = h << c | x misses a set M iff the high part H = M >> c
     misses h and x misses the low part of M.  So each grouping below is a
     tuple of pairs (H, plane), the plane being the OR of "x misses the low
-    part of M" over its sets M with that high part: located over all M_uv,
-    so its planes at h (block_misses) mark the x for which h << c | x is not
-    locating; dominated over the M_uv and every N[v], so they mark where it
-    is not locating-dominating.  absent[w] is "w not in x".  Tuples, as
-    every caller of the memo shares them.  The located planes split by v
-    are vertex_planes, which only the duplicate counts read.
+    part of M" over its sets M with that high part, and the first pair is
+    H = 0 (its plane 0 when no set has that high part): located over all
+    M_uv, so the OR of its planes whose H misses h marks the x for which
+    h << c | x is not locating; dominated over the M_uv and every N[v], so
+    it marks where it is not locating-dominating.  absent[w] is "w not in
+    x".  Tuples, as every caller of the memo shares them.  The located
+    planes split by v are vertex_planes, which only the duplicate counts
+    read.
     """
 
     c: int
     absent: tuple[int, ...]
-    located: tuple[tuple[int, int], ...]
-    dominated: tuple[tuple[int, int], ...]
+    located: Groups
+    dominated: Groups
 
 
 def _or_pair_planes(g: Graph, c: int, groups: Sequence[dict[int, int]]) -> None:
@@ -211,7 +226,7 @@ def miss_planes(g: Graph) -> MissPlanes:
     tables, absent = _nibble_tables(c)
     first, rest = tables[0], tables[1:]
     low_part = (1 << c) - 1
-    located: dict[int, int] = {}
+    located = {0: 0}
     _or_pair_planes(g, c, [located] * g.n)
     dominated = dict(located)
     for v, row in enumerate(g.adj):
@@ -226,28 +241,69 @@ def miss_planes(g: Graph) -> MissPlanes:
     return MissPlanes(c, absent, tuple(located.items()), tuple(dominated.items()))
 
 
-def vertex_planes(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
+def vertex_planes(g: Graph) -> tuple[Groups, ...]:
     """miss_planes' located planes split by vertex, built per call, not memoized.
 
-    Entry v groups the pairs u < v by high part as MissPlanes does, so its
-    block_misses at h, v's duplicate plane in block h, marks the x for
-    which v, outside h << c | x, has the trace of some earlier vertex
-    outside it.  The plane is empty wherever v is in h << c | x, as every
-    M_uv holds v, so fewest_repeats and score_table read it for every v.
+    Blocks of 2^TABLE_BITS subsets.  Entry v groups the pairs u < v by
+    high part as MissPlanes does, so its planes whose high part misses h
+    OR to v's duplicate plane in block h: the x for which v, outside
+    h << c | x, has the trace of some earlier vertex outside it.  The plane
+    is empty wherever v is in h << c | x, as every M_uv holds v, so
+    fewest_repeats and score_table read it for every v.
     """
-    groups: list[dict[int, int]] = [{} for _ in range(g.n)]
-    _or_pair_planes(g, min(g.n, BLOCK_BITS), groups)
+    groups: list[dict[int, int]] = [{0: 0} for _ in range(g.n)]
+    _or_pair_planes(g, min(g.n, TABLE_BITS), groups)
     return tuple(tuple(d.items()) for d in groups)
 
 
-def block_misses(groups: tuple[tuple[int, int], ...], h: int) -> int:
-    """The OR of the planes of groups whose high part misses h: the x for
-    which h << c | x misses a set of the groups."""
-    bad = 0
-    for high, plane in groups:
-        if not high & h:
-            bad |= plane
-    return bad
+def _walk(
+    k: int, misses: Sequence[Groups], lies_in: Sequence[Groups], alive: Callable[[int, list[int]], object] | None
+) -> Iterator[tuple[int, list[int]]]:
+    """The blocks h < 2^k in increasing order, each with its planes: the OR
+    of the planes of each grouping of misses whose high part misses h, then
+    of each grouping of lies_in whose high part lies in h.  A high part
+    lies in h iff it misses top ^ h (top = 2^k - 1), so the located planes
+    through lies_in are block top ^ h, whose x read at complements are
+    those whose complement is not locating.
+
+    The root holds the planes of the high part 0 of every grouping, and the
+    walk decides the high vertices from k - 1 down, 0 before 1, so its
+    leaves come in increasing h.  Each pair (H, plane) is ORed in once, at
+    the node that decides the lowest vertex w of H, where every vertex of H
+    is decided: on the 0 branch into its misses plane when H misses h, on
+    the 1 branch into its lies_in plane when H lies in h.  A plane only
+    grows on the way down, so when alive(h, planes) is false at a node (h
+    holding the vertices decided 1 so far), no block below it passes, and
+    the walk skips its subtree; it asks at every node, leaves included.
+    The walk keeps its own stack, so Python's recursion limit does not
+    bound its depth.
+    """
+    roots = [groups[0][1] for groups in (*misses, *lies_in)]
+    # by lowest high vertex: the misses pairs and the lies_in pairs
+    at: list[tuple[list, list]] = [([], []) for _ in range(k)]
+    for side, groupings, first in ((0, misses, 0), (1, lies_in, len(misses))):
+        for i, groups in enumerate(groupings, first):
+            for high, plane in groups[1:]:
+                at[(high & -high).bit_length() - 1][side].append((i, high, plane))
+    stack = [(k, 0, roots)]
+    while stack:
+        w, h, planes = stack.pop()
+        if alive is not None and not alive(h, planes):
+            continue
+        if not w:
+            yield h, planes
+            continue
+        w -= 1
+        one = h | 1 << w
+        upper = planes.copy()
+        miss_at, lies_at = at[w]
+        for i, high, plane in lies_at:
+            if high & one == high:
+                upper[i] |= plane
+        for i, high, plane in miss_at:  # planes becomes the 0 branch's: this node is done with it
+            if not high & h:
+                planes[i] |= plane
+        stack += ((w, one, upper), (w, h, planes))
 
 
 def count_planes(planes: Iterable[int]) -> list[int]:
@@ -297,24 +353,30 @@ def at_complements(plane: int, c: int) -> int:
 def first_split(g: Graph, pinned: bool) -> int | None:
     """The first x in bit order with both x and V \\ x locating, or None.
 
-    The blocks are scanned upward: ~block_misses of the located planes at h
-    marks the locating x, and the same at top ^ h read at complements marks
-    the x whose complement is locating.  A block with no locating x skips
-    the complement plane.  With pinned, only the x that hold vertex 0 count
+    Blocks of 2^BLOCK_BITS subsets.  _walk ORs the located planes whose
+    high part misses h, the x that are not locating, and those whose high
+    part lies in h, block top ^ h, which read at complements marks the x
+    whose complement is not locating; the walk skips a subtree where the
+    two leave no x.  With pinned, only the x that hold vertex 0 count
     (n >= 1).
     """
     planes = miss_planes(g)
     c, located = planes.c, planes.located
-    top = (1 << (g.n - c)) - 1
     keep = (1 << (1 << c)) - 1
     if pinned:
         keep ^= planes.absent[0]
-    for h in range(top + 1):
-        good = keep & ~block_misses(located, h)
-        if good:
-            good &= ~at_complements(block_misses(located, top ^ h), c)
-            if good:
-                return h << c | (good & -good).bit_length() - 1
+
+    def good(h: int, bad: list[int]) -> int:
+        return keep & ~bad[0] & ~at_complements(bad[1], c)
+
+    if c < g.n:
+        blocks = _walk(g.n - c, (located,), (located,), good)
+    else:  # one block, read directly: a corpus of small graphs calls this per record
+        blocks = ((0, [located[0][1]] * 2),)
+    for h, bad in blocks:
+        x = good(h, bad)
+        if x:
+            return h << c | (x & -x).bit_length() - 1
     return None
 
 
@@ -322,10 +384,11 @@ def min_good_set(g: Graph, dominating: bool) -> tuple[int, int]:
     """The size of a smallest locating set (with dominating, locating-
     dominating set) and the first such set in combinations order.
 
-    A block's smallest good x is least of the counters of |x|
-    (SIZE_COUNTERS) on its good plane, ~block_misses of the located (or
-    dominated) planes at h; a block whose high part alone outgrows the best
-    size so far is skipped.
+    Blocks of 2^BLOCK_BITS subsets.  A block's smallest good x is least of
+    the counters of |x| (SIZE_COUNTERS) on its good plane, the complement
+    of the located (or dominated) planes whose high part misses h (_walk);
+    the walk skips a subtree with no good x, or whose high part alone
+    outgrows the best size so far.
     """
     planes = miss_planes(g)
     c = planes.c
@@ -335,14 +398,15 @@ def min_good_set(g: Graph, dominating: bool) -> tuple[int, int]:
     # above c.bit_length() are 0 wherever least reads them
     sizes = SIZE_COUNTERS[: c.bit_length()]
     best_size, best = g.n + 1, 0
-    for h in range(1 << (g.n - c)):
+    if c < g.n:
+        blocks = _walk(g.n - c, (groups,), (), lambda h, bad: h.bit_count() <= best_size and bad[0] < full)
+    else:  # one block, read directly, as in first_split
+        blocks = ((0, (groups[0][1],)),)
+    for h, (bad,) in blocks:
         high_size = h.bit_count()
-        if high_size > best_size:
-            continue
-        good = full ^ block_misses(groups, h)
-        if not good:
-            continue
-        low_size, cand = least(sizes, good)
+        # the walk passes no block without a good x, and the one block of
+        # a graph with no high vertices holds V, which is good
+        low_size, cand = least(sizes, full ^ bad)
         if high_size + low_size > best_size:
             continue
         # combinations order among equal sizes: the set holding the smallest
@@ -369,23 +433,25 @@ def score_table(g: Graph) -> bytearray:
     T[a] counts the vertices outside a that are the first of their trace
     class, so each block's scores are count_planes of the planes "v not in
     a, and no earlier vertex outside a has its trace": "v not in a" xor
-    v's duplicate plane (vertex_planes), which lies within it.  Each
-    counter plane is spread to one byte per subset through its binary
+    v's duplicate plane, which lies within it.  The blocks hold 2^TABLE_BITS
+    subsets, and _walk gives every one its duplicate planes (vertex_planes).
+    Each counter plane is spread to one byte per subset through its binary
     digits, and the byte planes of a block are ORed into its slice of the
     table.
     """
     n = g.n
-    c = min(n, BLOCK_BITS)
-    absent, per_vertex = _nibble_tables(c)[1], vertex_planes(g)
+    c = min(n, TABLE_BITS)
+    absent = _nibble_tables(c)[1]
     size = 1 << c
     full = (1 << size) - 1
     digits = f"0{size}b"
     table = bytearray(1 << n)
-    for h in range(1 << (n - c)):
+    for h, repeats in _walk(n - c, vertex_planes(g), (), None):
         total = 0
-        # "v not in a": absent[v] below c, and from c up all of the block or none
-        outside = absent + tuple(0 if h >> w & 1 else full for w in range(n - c))
-        firsts = [out ^ block_misses(groups, h) for out, groups in zip(outside, per_vertex)]
+        # "v not in a": absent[v] below c, and from c up all of the block or
+        # none, where v's duplicate plane is empty too
+        firsts = [out ^ repeat for out, repeat in zip(absent, repeats)]
+        firsts += [full ^ repeats[c + w] for w in range(n - c) if not h >> w & 1]
         for j, count in enumerate(count_planes(firsts)):
             # format puts bit size-1 first, so big-endian bytes put bit x at byte x
             total |= int.from_bytes(format(count, digits).encode().translate(_DIGIT_TO_BYTE[j]), "big")
@@ -397,26 +463,30 @@ def fewest_repeats(g: Graph) -> tuple[int, Iterator[int]]:
     """The fewest duplicates D(r) over the r with V \\ r locating, and the
     r that reach it, lazily in increasing bit order.
 
-    No table of all 2^n counts is built.  The plane of a block's x with
-    V \\ r locating is ~block_misses of the located planes at top ^ h read
-    at complements, as in first_split, and a block without one is skipped.
-    D is count_planes of the duplicate planes of every vertex
-    (vertex_planes), and least gives its minimum on that plane with the
-    plane of the x reaching it; the scan keeps those planes for the blocks
-    at the fewest so far.
+    No table of all 2^n counts is built.  _walk gives each block of
+    2^TABLE_BITS subsets the duplicate planes of every vertex
+    (vertex_planes) and their OR by high part, the located planes, read at
+    complements where the high part lies in h: the x with V \\ r not
+    locating, as in first_split.  The walk skips a subtree where that
+    leaves no x.  D is count_planes of the duplicate planes, and least
+    gives its minimum on the rest of the block with the plane of the x
+    reaching it; the scan keeps those planes for the blocks at the fewest
+    so far.
     """
-    planes, per_vertex = miss_planes(g), vertex_planes(g)
-    c, located = planes.c, planes.located
-    top = (1 << (g.n - c)) - 1
+    c = min(g.n, TABLE_BITS)
     full = (1 << (1 << c)) - 1
+    per_vertex = vertex_planes(g)
+    located = {0: 0}
+    for groups in per_vertex:
+        for high, plane in groups:
+            located[high] = located.get(high, 0) | plane
     fewest = g.n + 1
     reached = []  # (block, plane of its x at fewest) for the blocks reaching fewest
-    for h in range(top + 1):
-        mask = full ^ at_complements(block_misses(located, top ^ h), c)
-        if not mask:
-            continue
-        repeats = [block_misses(groups, h) for groups in per_vertex]
-        dups, plane = least(count_planes(repeats), mask)
+    blocks = _walk(g.n - c, per_vertex, (tuple(located.items()),), lambda h, bad: bad[-1] < full)
+    for h, (*repeats, bad) in blocks:
+        # the walk passes no block with an empty mask; a vertex of h has no
+        # duplicates, so its plane is 0 and not counted
+        dups, plane = least(count_planes(filter(None, repeats)), full ^ at_complements(bad, c))
         if dups < fewest:
             fewest, reached = dups, []
         if dups == fewest:

@@ -132,6 +132,39 @@ def ref_first_bipartition(g):
     return None
 
 
+def ref_first_split(g, pinned=False):
+    """X of the smallest bit pattern, odd when pinned, with X and V - X both
+    locating, or None.
+
+    Two vertices u, v keep equal traces on a side S iff S misses
+    M_uv = (N(u) ^ N(v)) | {u, v}, so no split lies below a choice of the
+    vertices from t up that puts a whole M_uv on one side.  The search
+    decides the vertices from n - 1 down, 0 before 1, so the splits come in
+    bit order; it drops a branch once an M_uv whose least vertex is t lies
+    on one side, and keeps a leaf only if ref_is_locating accepts both sides.
+    """
+    nbr = neighborhoods(g)
+    verts = set(range(g.n))
+    by_least = [[] for _ in range(g.n)]
+    for u, v in combinations(range(g.n), 2):
+        m = (nbr[u] ^ nbr[v]) | {u, v}
+        by_least[min(m)].append(m)
+
+    def first(t, x_set):
+        if t < 0:
+            both = ref_is_locating(g, x_set) and ref_is_locating(g, verts - x_set)
+            return x_set if both else None
+        for side in (True,) if pinned and t == 0 else (False, True):
+            y_set = x_set | {t} if side else x_set
+            if all(m & y_set and not m <= y_set for m in by_least[t]):
+                found = first(t - 1, y_set)
+                if found is not None:
+                    return found
+        return None
+
+    return first(g.n - 1, set())
+
+
 def ref_labeled_edges(n):
     """Edge lists of all labeled graphs on n vertices, pattern m = 0, 1, ...
 

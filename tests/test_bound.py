@@ -47,7 +47,16 @@ from locdom.location import (
 )
 
 from conftest import random_graphs, small_graphs
-from oracles import ref_build_z, ref_max_score, ref_s, ref_score_sum, to_mask, to_set
+from oracles import (
+    ref_build_z,
+    ref_is_dominating,
+    ref_is_locating,
+    ref_max_score,
+    ref_s,
+    ref_score_sum,
+    to_mask,
+    to_set,
+)
 
 # good sets with two non-trivial complement classes (graphs have twins, which
 # the decomposition itself permits; only the full bound pipeline forbids them)
@@ -207,8 +216,9 @@ class TestMaxScoreExact:
             assert scored.sum == s
             assert scored.s_comp == best.bit_count()
 
-    # above 2^16 subsets score_table fills one block of 2^16 at a time: C17
-    # has 2 blocks, gnp n = 20 has 16; recorded from the one-block table
+    # above 2^16 subsets score_table fills one block of 2^TABLE_BITS = 2^16
+    # at a time: C17 has 2 blocks, gnp n = 20 has 16; recorded from the
+    # one-block table
     BLOCKED = {
         ("cycle", 17): ("4da764bed90386070dc63fbd6c94632cdbd5aa1dc93114b14e2c37a95f67948c", (17, 10571)),
         ("path", 19): ("e89e2c92324d02ae18f861df59820678dc80fb0a61ede311c579e35c69216388", (19, 84563)),
@@ -242,8 +252,9 @@ class TestMaxScoreExact:
         g = generate(kind, n, 0.3, 1) if kind == "gnp" else generate(kind, n)
         assert max_score_exact(g) == self.ABOVE_CEILING[kind, n]
 
-    # n = 17 splits the subsets into two blocks, and these good sets hold
-    # vertex 16, so they come from the upper block, read through the
+    # n = 17 splits the subsets into two blocks of 2^TABLE_BITS = 2^16, the
+    # width of the full sums these graphs (S < n) run, and these good sets
+    # hold vertex 16, so they come from the upper block, read through the
     # complements of the lower one; recorded from the table-based maximization
     UPPER_BLOCK = {12: (12, 65927), 45: (14, 66342), 63: (11, 82690), 79: (14, 70279)}
 
@@ -252,9 +263,10 @@ class TestMaxScoreExact:
         assert max_score_exact(generate("gnp", 17, 0.1, seed)) == self.UPPER_BLOCK[seed]
 
     # gnp(n - 1, 0.1, seed) plus an open twin of vertex seed, so S < n and
-    # the sums run over every block: n = 20 has 16 blocks and its good set
-    # lies in block 4, n = 24 has 256; recorded from the complementary-block
-    # sums that the duplicate counts replaced
+    # the sums run over the blocks of 2^TABLE_BITS = 2^16 subsets: n = 20
+    # has 16 blocks and its good set lies in block 4, n = 24 has 256;
+    # recorded from the complementary-block sums that the duplicate counts
+    # replaced
     OPEN_TWIN = {
         (18, 1): (16, 20931),
         (20, 1): (18, 263739),
@@ -277,6 +289,23 @@ class TestMaxScoreExact:
             # S over all sets, off the score table: T[V - a] is T read backwards
             table = score_table(g)
             assert s == max(map(operator.add, table, reversed(table)))
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_long_paths_certified(self, kind):
+        # far above the default exact ceiling the split search still leaves
+        # at once: the walk over the high vertices skips every subtree whose
+        # planes leave no split, where a scan of the blocks took 337 s at P40
+        for n in (25, 32, 40, 64, 100):
+            g = generate(kind, n)
+            report = construct_ld(g, max_exact=n)
+            assert report.certified and (report.s_value, report.k) == (n, 0)
+            s, r = max_score_exact(g, ceiling=n)
+            assert s == n
+            assert ref_is_locating(g, to_set(r)) and ref_is_locating(g, to_set(g.full_set ^ r))
+            assert ref_is_locating(g, to_set(report.witness))
+            assert report.witness_size <= (5 * n - 1) // 8
+            ld = to_set(report.ld_witness)
+            assert ref_is_locating(g, ld) and ref_is_dominating(g, ld)
 
     def test_peak_memory(self):
         # cold, so the memo and the nibble tables built in the call count too

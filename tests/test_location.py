@@ -14,10 +14,12 @@ from locdom.location import (
     count_planes,
     extend_to_dominating,
     fewest_repeats,
+    first_split,
     is_dominating,
     is_locating,
     is_locating_dominating,
     least,
+    min_good_set,
     outside_walk,
     representatives,
     score_table,
@@ -26,9 +28,11 @@ from locdom.location import (
 
 from conftest import random_graphs, small_graphs
 from oracles import (
+    ref_first_split,
     ref_is_dominating,
     ref_is_locating,
     ref_max_score,
+    ref_min_witness,
     ref_partition,
     ref_s,
     ref_trace,
@@ -330,8 +334,9 @@ def test_fewest_repeats_against_reference():
 
 @pytest.mark.parametrize("seed", [12, 45])
 def test_fewest_repeats_across_blocks(seed):
-    # n = 17 is two blocks of 2^16 subsets, and on these graphs S < n and
-    # the minimizers lie in both; the score table counts the same
+    # n = 17 is two blocks of 2^TABLE_BITS = 2^16 subsets, the width of the
+    # full sums, and on these graphs S < n and the minimizers lie in both,
+    # some without vertex 16 and some with it; the score table counts the same
     # duplicates, T[r] = n - |r| - D(r), with T[V - r] = |r| iff V - r is
     # locating, and T[V - a] is T read backwards
     g = generate("gnp", 17, 0.1, seed)
@@ -342,3 +347,36 @@ def test_fewest_repeats_across_blocks(seed):
     assert fewest == 17 - s_max
     assert list(minimizers) == good
     assert {r >> 16 for r in good} == {0, 1}
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+def test_first_split_walk_against_reference(pinned):
+    # gnp with n = 13-20 has 1-8 high vertices above the 2^BLOCK_BITS-subset
+    # blocks; the walk must give the first split in bit order, or None, as
+    # the set-based search does
+    graphs = [generate("gnp", n, p, seed) for n in range(13, 21) for p in (0.1, 0.3) for seed in (1, 2, 3)]
+    graphs += [generate(kind, n) for kind in ("path", "cycle") for n in range(1, 21)]
+    outcomes = set()
+    for g in graphs:
+        ref = ref_first_split(g, pinned)
+        x = first_split(g, pinned)
+        assert x == (None if ref is None else to_mask(ref))
+        outcomes.add(None if x is None else x >> BLOCK_BITS > 0)
+    assert outcomes == {None, False, True}  # no split, a split in block 0, and one above it
+
+
+def test_min_good_set_walk_against_reference():
+    # gnp(n, 0.3, 1): n = 14 has its L witness in block 1 and n = 16 its LD
+    # witness in block 3 of 2^BLOCK_BITS subsets; at n = 18 both sizes are 5,
+    # below the 6 high vertices, so the walk skips the last blocks, whose
+    # high part alone is larger, by size alone
+    above = 0
+    for n in (13, 14, 16, 18):
+        g = generate("gnp", n, 0.3, 1)
+        for dominating in (False, True):
+            ref = ref_min_witness(g, dominating)
+            size, witness = min_good_set(g, dominating)
+            assert (size, witness) == (len(ref), to_mask(ref))
+            above += witness >> BLOCK_BITS > 0
+    assert above >= 2
+    assert size < g.n - BLOCK_BITS

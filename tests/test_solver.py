@@ -10,6 +10,7 @@ from locdom.bound import max_score_exact, score_sum
 from locdom.errors import InvalidInput, RefusedScale
 from locdom.graphs import all_labeled_graphs, generate, is_twin_free, new_graph, set_of
 from locdom.location import (
+    BLOCK_BITS,
     _nibble_tables,
     is_locating,
     is_locating_dominating,
@@ -117,18 +118,20 @@ class TestMinSets:
 
     @pytest.mark.parametrize("n,seed", [(17, 1), (18, 5)])
     def test_cross_block_tie_break(self, n, seed):
-        # witnesses above block 0 (2^16 subsets a block): gnp 17 seed 1 has
-        # its LD witness in block 1, gnp 18 seed 5 its L witness in block 2
-        # and its LD witness in block 1, so the scan's choice among blocks
-        # must give the first set in combinations order
+        # witnesses above block 0 (2^BLOCK_BITS = 2^12 subsets a block): gnp
+        # 17 seed 1 has its L witness in block 8 and its LD witness in block
+        # 24, gnp 18 seed 5 its L witness in block 34 and its LD witness in
+        # block 20, so the scan's choice among blocks must give the first set
+        # in combinations order
         g = generate("gnp", n, 0.3, seed)
         for dominating, oracle in ((False, min_locating), (True, min_locating_dominating)):
             ref = ref_min_witness(g, dominating)
             assert oracle(g, ceiling=n) == (len(ref), to_mask(ref))
 
     def test_raised_ceiling_keeps_block_width(self):
-        # above 2^16 subsets the planes stay one block wide, in the call and
-        # in the memo after it; one plane over all 2^24 subsets is 2 MiB
+        # above 2^12 subsets the planes stay one block of 2^BLOCK_BITS wide,
+        # in the call and in the memo after it; one plane over all 2^24
+        # subsets is 2 MiB
         g = generate("path", 24)
         tracemalloc.start()
         try:
@@ -143,7 +146,7 @@ class TestMinSets:
         assert miss_planes.cache_info().hits == hits + 1
         groupings = (planes.located, planes.dominated)
         memo = [*planes.absent, *(p for groups in groupings for _, p in groups)]
-        assert max(p.bit_length() for p in memo) <= 1 << 16
+        assert max(p.bit_length() for p in memo) <= 1 << BLOCK_BITS
 
 
 class TestTwoLocatingPartition:
