@@ -356,28 +356,16 @@ def labeled_graph_count(n: int) -> int:
     return 1 << n * (n - 1) // 2
 
 
-# the struct codes of rows of 1, 2, 4 and 8 bytes
+# the struct codes of rows of 1, 2, 4 and 8 bytes; struct has none wider
 _ROW_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _swap_mask(w: int, k: int) -> int:
     """The mask of delta swap step k on a w x w bit matrix: the bits (r, c)
-    with bit k clear in r and set in c, each built by doubling."""
-    row = ((1 << k) - 1) << k
-    width = 2 * k
-    while width < w:
-        row |= row << width
-        width *= 2
-    mask = row
-    height = 1
-    while height < k:  # rows 0..k-1
-        mask |= mask << height * w
-        height *= 2
-    height = 2 * k
-    while height < w:  # then every 2k rows
-        mask |= mask << height * w
-        height *= 2
-    return mask
+    with bit k clear in r and set in c, joined row by row as bytes."""
+    row = sum(1 << c for c in range(w) if c & k).to_bytes(w >> 3, "little")
+    empty = bytes(w >> 3)
+    return int.from_bytes(b"".join(empty if r & k else row for r in range(w)), "little")
 
 
 @lru_cache(maxsize=None)
@@ -390,18 +378,18 @@ def _matrix_plan(w: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[
     Bit w*r + c of the matrix is row r, column c.  First, for each j < w,
     the mask of j bits, j, and the offset j*w of row j.  Then (shift, mask)
     of each delta swap: step k swaps bit (r, c) with bit (r + k, c - k)
-    wherever r lacks bit k and c has it, a shift of k(w - 1).  Up to
-    w = 64 the steps k = w/2, ..., 1 transpose the whole matrix; above it
-    only k = 4, 2, 1 are kept, which transpose each 8x8 block in place, so
-    the masks hold 3w^2/8 bytes (1.5 MB at w = 2048), not w^2 log2(w)/8.
+    wherever r lacks bit k and c has it, a shift of k(w - 1).  The steps
+    k = w/2, ..., 1 transpose the whole matrix at every width, so the masks
+    hold w^2 log2(w)/8 bytes (5.8 MB at w = 2048).
     """
-    steps = [w >> i for i in range(1, w.bit_length())] if w <= 64 else [4, 2, 1]
+    steps = [w >> i for i in range(1, w.bit_length())]
     swaps = tuple((k * (w - 1), _swap_mask(w, k)) for k in steps)
     return tuple(((1 << j) - 1, j, j * w) for j in range(w)), swaps
 
 
 def labeled_graph(n: int, m: int) -> Graph:
-    """The graph on n vertices whose triangle bit pattern is m.
+    """The graph on n vertices whose triangle bit pattern is m, for n >= 0
+    and 0 <= m < 2^(n(n-1)/2); anything else is InvalidInput.
 
     Bit t of m is the t-th pair in the column-major order
     (0,1),(0,2),(1,2),(0,3),..., so column j, the pairs (0,j)..(j-1,j),
@@ -411,12 +399,14 @@ def labeled_graph(n: int, m: int) -> Graph:
     smallest power of two >= max(8, n), and N(v) is row v of L | L^T: the
     cost is n column steps and O(w^2 log w) bit work, with no step per
     edge.  The transpose is the log-depth one of Warren (Hacker's Delight,
-    section 7-3), by masked delta swaps (_matrix_plan).  Up to w = 64 the
-    swaps transpose all of L and a row is one struct field; above it they
-    transpose each 8x8 block, and the steps that move whole bytes are one
-    strided read of the bytes, as byte R of row u of L^T is byte u >> 3 of
-    row 8R + (u & 7) of the swapped blocks.
+    section 7-3), by masked delta swaps (_matrix_plan), at every width.  A
+    row of up to 8 bytes is one struct field; a wider one is read from its
+    bytes.
     """
+    if n < 0:
+        raise InvalidInput(f"negative vertex count {n}")
+    if m >> n * (n - 1) // 2:  # a bit past the last pair, or m < 0
+        raise InvalidInput(f"triangle pattern {m} outside 0..2^{n * (n - 1) // 2} - 1 for n={n}")
     w = 8 if n <= 8 else 1 << (n - 1).bit_length()
     columns, swaps = _matrix_plan(w)
     low = 0
@@ -428,13 +418,9 @@ def labeled_graph(n: int, m: int) -> Graph:
         d = (high ^ high >> shift) & mask
         high ^= d ^ d << shift
     rb = w >> 3  # bytes per row
-    if rb <= 8:
-        rows = (low | high).to_bytes(n * rb, "little")
-        return Graph(n, tuple(rows) if rb == 1 else struct.unpack(f"<{n}{_ROW_CODES[rb]}", rows))
-    cells = high.to_bytes(w * rb, "little")
-    stride = 8 * rb
-    high = int.from_bytes(b"".join([cells[(u & 7) * rb + (u >> 3) :: stride] for u in range(n)]), "little")
     rows = (low | high).to_bytes(n * rb, "little")
+    if rb in _ROW_CODES:
+        return Graph(n, tuple(rows) if rb == 1 else struct.unpack(f"<{n}{_ROW_CODES[rb]}", rows))
     return Graph(n, tuple(int.from_bytes(rows[i : i + rb], "little") for i in range(0, n * rb, rb)))
 
 

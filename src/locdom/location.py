@@ -13,15 +13,13 @@ witness from it without walking the witness again.
 The same predicates over all subsets at once are bit planes, and this module
 alone knows their layout.  A subset is a = h << c | x: a block of the 2^c
 subsets x of the c lowest vertices for each pattern h of the k = n - c high
-vertices, read as one 2^c-bit plane.  c = min(n, BLOCK_BITS), 12, for
-miss_planes, which first_split and min_good_set read, and min(n,
-TABLE_BITS), 16, for vertex_planes, which the two full sums read: they
-count every block they reach, and a count costs per plane operation.  So
-no plane is wider than 2^16 bits at any n.  V \\ a lies in
-block top ^ h, top = 2^k - 1, at the complement of x.  miss_planes holds the
-planes of the pairs and closed neighborhoods that a locating (locating-
-dominating) set must hit, and vertex_planes the located ones split by
-vertex, the duplicate planes, each grouped by the part of its set above c.
+vertices, read as one 2^c-bit plane, with c = min(n, BLOCK_BITS) = min(n,
+12) in every scan, so no plane is wider than 2^12 bits at any n.  V \\ a
+lies in block top ^ h, top = 2^k - 1, at the complement of x.  miss_planes
+holds the planes of the pairs and closed neighborhoods that a locating
+(locating-dominating) set must hit, and vertex_planes the located ones
+split by vertex, the duplicate planes, each grouped by the part of its set
+above c.
 One walk over the high vertices (_walk) gives a scan its blocks in
 increasing h: it ORs each group in once, at the node that decides its
 lowest high vertex, and skips a subtree where the scan's planes already
@@ -104,11 +102,9 @@ def representatives(classes: tuple[int, ...]) -> int:
 
 
 # the subset planes are built one block of the subsets of this many low
-# vertices at a time: BLOCK_BITS for miss_planes, TABLE_BITS for
-# vertex_planes, as the full sums count every block they reach and a count
-# costs per plane operation; so no plane is wider than 2^TABLE_BITS bits
+# vertices at a time, in every scan, so no plane is wider than 2^BLOCK_BITS
+# bits at any n
 BLOCK_BITS = 12
-TABLE_BITS = 16
 
 
 @lru_cache(maxsize=None)
@@ -121,8 +117,8 @@ def _nibble_tables(c: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]
     doubles in length with each of its vertices.  There is one table even
     when c = 0, so a lookup never finds none.  Returns the tables and their
     single-vertex entries, the planes "w not in x" for w < c.  Cached for
-    every c seen (at most TABLE_BITS + 1 values, under 1 MB in all), so a
-    corpus whose orders straddle a block width builds each once.
+    every c seen (at most BLOCK_BITS + 1 values, about 50 KB in all), so a
+    corpus whose orders straddle the block width builds each once.
     """
     size = 1 << c
     full = (1 << size) - 1
@@ -140,28 +136,6 @@ def _nibble_tables(c: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]
         tables.append(tuple(table))
     return tuple(tables), tuple(tables[w >> 2][1 << (w & 3)] for w in range(c))
 
-
-def _size_counters() -> tuple[int, ...]:
-    """The counter planes of |x| over the 2^BLOCK_BITS subsets x, as
-    count_planes would give them for the planes "w in x", built by
-    doubling: the subsets below 2^(w+1) that hold w are those below 2^w
-    with one member more, so each counter gains an upper half that is the
-    lower one plus 1, added in ripple-carry on planes half as wide."""
-    sizes: list[int] = []
-    for width in (1 << w for w in range(BLOCK_BITS)):
-        carry = (1 << width) - 1
-        for j, count in enumerate(sizes):
-            sizes[j] = count | (count ^ carry) << width
-            carry &= count
-        if carry:
-            sizes.append(carry << width)
-    return tuple(sizes)
-
-
-# built once at import (2 KiB), so no first call at any width pays for
-# them; least on a block of 2^c subsets reads only their low 2^c bits, as
-# its mask has no higher bit
-SIZE_COUNTERS = _size_counters()
 
 # (high part, plane) pairs, the first with high part 0 (see MissPlanes)
 Groups = tuple[tuple[int, int], ...]
@@ -182,8 +156,8 @@ class MissPlanes(NamedTuple):
     h << c | x is not locating; dominated over the M_uv and every N[v], so
     it marks where it is not locating-dominating.  absent[w] is "w not in
     x".  Tuples, as every caller of the memo shares them.  The located
-    planes split by v are vertex_planes, which only the duplicate counts
-    read.
+    planes split by v, over the same blocks, are vertex_planes, which only
+    the duplicate counts read.
     """
 
     c: int
@@ -244,15 +218,16 @@ def miss_planes(g: Graph) -> MissPlanes:
 def vertex_planes(g: Graph) -> tuple[Groups, ...]:
     """miss_planes' located planes split by vertex, built per call, not memoized.
 
-    Blocks of 2^TABLE_BITS subsets.  Entry v groups the pairs u < v by
-    high part as MissPlanes does, so its planes whose high part misses h
-    OR to v's duplicate plane in block h: the x for which v, outside
+    Blocks of 2^BLOCK_BITS subsets, as in miss_planes, whose located
+    planes are the OR of these by high part.  Entry v groups the pairs
+    u < v by high part as MissPlanes does, so its planes whose high part
+    misses h OR to v's duplicate plane in block h: the x for which v, outside
     h << c | x, has the trace of some earlier vertex outside it.  The plane
     is empty wherever v is in h << c | x, as every M_uv holds v, so
     fewest_repeats and score_table read it for every v.
     """
     groups: list[dict[int, int]] = [{0: 0} for _ in range(g.n)]
-    _or_pair_planes(g, min(g.n, TABLE_BITS), groups)
+    _or_pair_planes(g, min(g.n, BLOCK_BITS), groups)
     return tuple(tuple(d.items()) for d in groups)
 
 
@@ -319,6 +294,14 @@ def count_planes(planes: Iterable[int]) -> list[int]:
         if carry:
             counters.append(carry)
     return counters
+
+
+# the counter planes of |x| over the 2^BLOCK_BITS subsets x: count_planes
+# of the planes "w in x", each "w not in x" moved up by 2^w; built once at
+# import (2 KiB), so no first call at any width pays for them; least on a
+# block of 2^c subsets reads only their low 2^c bits, as its mask has no
+# higher bit
+SIZE_COUNTERS = tuple(count_planes(absent << (1 << w) for w, absent in enumerate(_nibble_tables(BLOCK_BITS)[1])))
 
 
 def least(counters: Sequence[int], mask: int) -> tuple[int, int]:
@@ -433,14 +416,14 @@ def score_table(g: Graph) -> bytearray:
     T[a] counts the vertices outside a that are the first of their trace
     class, so each block's scores are count_planes of the planes "v not in
     a, and no earlier vertex outside a has its trace": "v not in a" xor
-    v's duplicate plane, which lies within it.  The blocks hold 2^TABLE_BITS
+    v's duplicate plane, which lies within it.  The blocks hold 2^BLOCK_BITS
     subsets, and _walk gives every one its duplicate planes (vertex_planes).
     Each counter plane is spread to one byte per subset through its binary
     digits, and the byte planes of a block are ORed into its slice of the
     table.
     """
     n = g.n
-    c = min(n, TABLE_BITS)
+    c = min(n, BLOCK_BITS)
     absent = _nibble_tables(c)[1]
     size = 1 << c
     full = (1 << size) - 1
@@ -464,25 +447,21 @@ def fewest_repeats(g: Graph) -> tuple[int, Iterator[int]]:
     r that reach it, lazily in increasing bit order.
 
     No table of all 2^n counts is built.  _walk gives each block of
-    2^TABLE_BITS subsets the duplicate planes of every vertex
-    (vertex_planes) and their OR by high part, the located planes, read at
-    complements where the high part lies in h: the x with V \\ r not
-    locating, as in first_split.  The walk skips a subtree where that
-    leaves no x.  D is count_planes of the duplicate planes, and least
-    gives its minimum on the rest of the block with the plane of the x
-    reaching it; the scan keeps those planes for the blocks at the fewest
-    so far.
+    2^BLOCK_BITS subsets the duplicate planes of every vertex
+    (vertex_planes) and the located planes of miss_planes, which the split
+    search has just memoized, read at complements where the high part lies
+    in h: the x with V \\ r not locating, as in first_split.  The walk
+    skips a subtree where that leaves no x.  D is count_planes of the
+    duplicate planes, and least gives its minimum on the rest of the block
+    with the plane of the x reaching it; the scan keeps those planes for
+    the blocks at the fewest so far.
     """
-    c = min(g.n, TABLE_BITS)
+    planes = miss_planes(g)
+    c = planes.c
     full = (1 << (1 << c)) - 1
-    per_vertex = vertex_planes(g)
-    located = {0: 0}
-    for groups in per_vertex:
-        for high, plane in groups:
-            located[high] = located.get(high, 0) | plane
     fewest = g.n + 1
     reached = []  # (block, plane of its x at fewest) for the blocks reaching fewest
-    blocks = _walk(g.n - c, per_vertex, (tuple(located.items()),), lambda h, bad: bad[-1] < full)
+    blocks = _walk(g.n - c, vertex_planes(g), (planes.located,), lambda h, bad: bad[-1] < full)
     for h, (*repeats, bad) in blocks:
         # the walk passes no block with an empty mask; a vertex of h has no
         # duplicates, so its plane is 0 and not counted

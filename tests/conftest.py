@@ -47,6 +47,13 @@ def random_graphs(count, n_lo, n_hi, p=0.4, seed0=0):
     return out
 
 
+def open_twin(n, seed):
+    """gnp(n - 1, 0.1, seed) plus vertex n - 1, an open twin of vertex seed."""
+    base = generate("gnp", n - 1, 0.1, seed)
+    row = base.adj[seed]
+    return new_graph(n, [*base.edges(), *((u, n - 1) for u in range(n - 1) if row >> u & 1)])
+
+
 @st.composite
 def small_graphs(draw, min_n=0, max_n=8):
     """Hypothesis strategy: a graph on min_n..max_n vertices, each edge drawn."""

@@ -46,7 +46,7 @@ from locdom.location import (
     x_partition,
 )
 
-from conftest import random_graphs, small_graphs
+from conftest import open_twin, random_graphs, small_graphs
 from oracles import (
     ref_build_z,
     ref_is_dominating,
@@ -216,8 +216,8 @@ class TestMaxScoreExact:
             assert scored.sum == s
             assert scored.s_comp == best.bit_count()
 
-    # above 2^16 subsets score_table fills one block of 2^TABLE_BITS = 2^16
-    # at a time: C17 has 2 blocks, gnp n = 20 has 16; recorded from the
+    # above 2^12 subsets score_table fills one block of 2^BLOCK_BITS = 2^12
+    # at a time: C17 has 32 blocks, gnp n = 20 has 256; recorded from the
     # one-block table
     BLOCKED = {
         ("cycle", 17): ("4da764bed90386070dc63fbd6c94632cdbd5aa1dc93114b14e2c37a95f67948c", (17, 10571)),
@@ -252,10 +252,11 @@ class TestMaxScoreExact:
         g = generate(kind, n, 0.3, 1) if kind == "gnp" else generate(kind, n)
         assert max_score_exact(g) == self.ABOVE_CEILING[kind, n]
 
-    # n = 17 splits the subsets into two blocks of 2^TABLE_BITS = 2^16, the
-    # width of the full sums these graphs (S < n) run, and these good sets
-    # hold vertex 16, so they come from the upper block, read through the
-    # complements of the lower one; recorded from the table-based maximization
+    # n = 17 splits the subsets into 32 blocks of 2^BLOCK_BITS = 2^12, over
+    # which the full sums of these graphs (S < n) run, and these good sets
+    # hold vertex 16, so they come from the upper half (blocks 16, 16, 20
+    # and 17), each block read through the complements of one in the lower
+    # half; recorded from the table-based maximization
     UPPER_BLOCK = {12: (12, 65927), 45: (14, 66342), 63: (11, 82690), 79: (14, 70279)}
 
     @pytest.mark.parametrize("seed", sorted(UPPER_BLOCK))
@@ -263,8 +264,8 @@ class TestMaxScoreExact:
         assert max_score_exact(generate("gnp", 17, 0.1, seed)) == self.UPPER_BLOCK[seed]
 
     # gnp(n - 1, 0.1, seed) plus an open twin of vertex seed, so S < n and
-    # the sums run over the blocks of 2^TABLE_BITS = 2^16 subsets: n = 20
-    # has 16 blocks and its good set lies in block 4, n = 24 has 256;
+    # the sums run over the blocks of 2^BLOCK_BITS = 2^12 subsets: n = 20
+    # has 256 blocks and its good set lies in block 64, n = 24 has 4,096;
     # recorded from the complementary-block sums that the duplicate counts
     # replaced
     OPEN_TWIN = {
@@ -274,15 +275,9 @@ class TestMaxScoreExact:
         (24, 2): (20, 33719),
     }
 
-    @staticmethod
-    def _open_twin(n, seed):
-        base = generate("gnp", n - 1, 0.1, seed)
-        row = base.adj[seed]
-        return new_graph(n, [*base.edges(), *((u, n - 1) for u in range(n - 1) if row >> u & 1)])
-
     @pytest.mark.parametrize("n,seed", sorted(OPEN_TWIN))
     def test_open_twin_pinned(self, n, seed):
-        g = self._open_twin(n, seed)
+        g = open_twin(n, seed)
         s, best = self.OPEN_TWIN[n, seed]
         assert max_score_exact(g) == (s, best)
         if n <= 20:

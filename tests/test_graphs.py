@@ -298,6 +298,21 @@ class TestEnumeration:
         with pytest.raises(InvalidInput, match="negative vertex count -1"):
             next(all_labeled_graphs(-1))
 
+    @pytest.mark.parametrize(
+        "n,m,message",
+        [
+            (3, 1000, r"^triangle pattern 1000 outside 0\.\.2\^3 - 1 for n=3$"),
+            (3, -1, r"^triangle pattern -1 outside 0\.\.2\^3 - 1 for n=3$"),
+            (-1, 0, "^negative vertex count -1$"),
+        ],
+        ids=["pattern-too-large", "pattern-negative", "order-negative"],
+    )
+    def test_labeled_graph_rejects_bad_input(self, n, m, message):
+        # a bit past the last pair, a negative pattern and a negative order
+        # name no graph, so each is refused rather than read as another one
+        with pytest.raises(InvalidInput, match=message):
+            labeled_graph(n, m)
+
     def test_labeled_graph_matches_reference(self):
         for n in range(7):
             for m, edges in enumerate(ref_labeled_edges(n)):
@@ -316,7 +331,7 @@ class TestLabeledGraphTranspose:
     w, the power of two >= max(8, n); the orders sit on both sides of each
     width and the patterns are empty, complete and random."""
 
-    ORDERS = (7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257)
+    ORDERS = (7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513, 1025)
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_matches_reference(self, n):

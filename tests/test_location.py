@@ -278,11 +278,10 @@ def test_counter_planes_property(width_planes_mask):
     assert least(counters, mask) == (fewest, argmin)
 
 
-def test_size_counters():
-    # built by doubling; the same as counting the planes "w in x"
-    full = (1 << (1 << BLOCK_BITS)) - 1
-    same = SIZE_COUNTERS == tuple(count_planes([full ^ plane for plane in _nibble_tables(BLOCK_BITS)[1]]))
-    assert same  # not the planes themselves: their repr has about 20,000 digits
+def test_size_counter_planes():
+    # read bit x of each counter plane: the count is |x| at every x of a block
+    counts = [sum((count >> x & 1) << j for j, count in enumerate(SIZE_COUNTERS)) for x in range(1 << BLOCK_BITS)]
+    assert counts == [x.bit_count() for x in range(1 << BLOCK_BITS)]
 
 
 # on P4 (n = 4): the set {4}, the set {0, 3, 5}, and -1, which holds every
@@ -334,9 +333,9 @@ def test_fewest_repeats_against_reference():
 
 @pytest.mark.parametrize("seed", [12, 45])
 def test_fewest_repeats_across_blocks(seed):
-    # n = 17 is two blocks of 2^TABLE_BITS = 2^16 subsets, the width of the
-    # full sums, and on these graphs S < n and the minimizers lie in both,
-    # some without vertex 16 and some with it; the score table counts the same
+    # n = 17 is 32 blocks of 2^BLOCK_BITS = 2^12 subsets, and on these
+    # graphs S < n and the minimizers lie in both halves of them, some
+    # without vertex 16 and some with it; the score table counts the same
     # duplicates, T[r] = n - |r| - D(r), with T[V - r] = |r| iff V - r is
     # locating, and T[V - a] is T read backwards
     g = generate("gnp", 17, 0.1, seed)

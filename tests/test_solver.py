@@ -16,6 +16,7 @@ from locdom.location import (
     is_locating_dominating,
     miss_planes,
     score_table,
+    vertex_planes,
 )
 from locdom.solver import (
     PartitionWitness,
@@ -26,7 +27,7 @@ from locdom.solver import (
     two_locating_partition,
 )
 
-from conftest import random_graphs, small_graphs
+from conftest import open_twin, random_graphs, small_graphs
 from oracles import ref_first_bipartition, ref_min_witness, ref_partitions, ref_s_k, to_mask, to_set
 
 
@@ -147,6 +148,12 @@ class TestMinSets:
         groupings = (planes.located, planes.dominated)
         memo = [*planes.absent, *(p for groups in groupings for _, p in groups)]
         assert max(p.bit_length() for p in memo) <= 1 << BLOCK_BITS
+
+    @pytest.mark.parametrize("g", [generate("path", 17), open_twin(24, 2)], ids=["P17", "open-twin-24"])
+    def test_duplicate_planes_keep_block_width(self, g):
+        # the full sums read the duplicate planes over the same blocks of
+        # 2^BLOCK_BITS subsets as the split search and the oracles
+        assert max(p.bit_length() for groups in vertex_planes(g) for _, p in groups) <= 1 << BLOCK_BITS
 
 
 class TestTwoLocatingPartition:
