@@ -26,6 +26,8 @@ from .errors import BoundViolation, InvalidInput, TwinsPresent, VerificationFail
 from .graphs import Graph, is_twin_free, members, random_subset
 from .location import fewest_repeats, first_split, outside_walk, refine, representatives, x_partition
 
+# the ceiling of the full sums alone (_max_score_full): a graph that splits
+# is certified at any n
 EXACT_CEILING_DEFAULT = 24
 
 CANDIDATE_TAGS = ("eq1", "eq2", "eq3", "eq4")
@@ -195,15 +197,18 @@ def max_score_exact(g: Graph, ceiling: int = EXACT_CEILING_DEFAULT) -> tuple[int
     s(V \\ r) = |r|, that is with V \\ r locating; when S = n they are the
     r with both r and V \\ r locating, every one has k = 0 non-trivial
     complement classes, and the one returned is the first in bit order:
-    location.first_split, which stops at it.  Only when no split exists are
-    all 2^n subsets read (_max_score_full).  A negative ceiling is
-    InvalidInput, and one from 0 to n - 1 RefusedScale.
+    location.first_split, which stops at it, at any n.  Only when no split
+    exists are all 2^n subsets read (_max_score_full), and only they are
+    bounded by the ceiling: a negative ceiling is InvalidInput before any
+    walk, and a graph with no split and n above the ceiling RefusedScale
+    after the walk.
     """
-    if g.n > ceiling:
-        refuse("exact maximization", g.n, ceiling)
+    require_at_least("ceiling", 0, ceiling)
     r = first_split(g, pinned=False)
     if r is not None:
         return g.n, r
+    if g.n > ceiling:
+        refuse("exact maximization", g.n, ceiling)
     return _max_score_full(g)
 
 
@@ -400,9 +405,12 @@ def construct_ld(
     """Build a locating set witnessing the 5n/8-style bound, then make it dominating.
 
     Exact mode runs the full pipeline off the true maximum S and certifies
-    |witness| <= floor((5n-1)/8).  Heuristic mode runs greedy thinning from
-    the empty set and from a seeded random set, keeps the random start only
-    when its witness is strictly smaller, and never certifies; the twin
+    |witness| <= floor((5n-1)/8).  It reaches S through max_score_exact,
+    where max_exact bounds only the full sums that a graph with no split
+    needs, so a twin-free graph that splits is certified at any n.
+    Heuristic mode runs greedy thinning from the empty set and from a
+    seeded random set, keeps the random start only when its witness is
+    strictly smaller, and never certifies; the twin
     check and the empty start do not read rng_seed and are memoized for
     the last graph (_empty_start), so only the random start runs again when
     the seed alone changes.  Either way the locating witness gains at most
@@ -410,7 +418,7 @@ def construct_ld(
     empty trace, which candidate_sets' walk over the witness's complement
     already found, so the witness is not walked again.  A certified run
     checks the result against ceil(5n/8).  A negative max_exact in exact
-    mode is InvalidInput, as the CLI's --max-exact is.
+    mode is InvalidInput.
     """
     if mode not in ("exact", "heuristic"):
         raise InvalidInput(f"unknown mode {mode!r}")

@@ -5,9 +5,13 @@ of its class in _EXIT_CODES: InvalidInput 2, VerificationFailed 2,
 TwinsPresent 3, RefusedScale 4, BoundViolation 5, LocdomError 2.  Any other
 exception is a bug and exits 1 with its traceback.  Single-graph commands
 print one JSON report; ``corpus`` streams JSON-lines records (one per input
-graph, in input order regardless of --jobs) and a CSV summary.  A record
-that fails gets an ``error`` field and the sweep goes on; it exits 5 if a
-record had a bound violation, which outranks the 2 of a failed record.
+graph, in input order regardless of --jobs) and a CSV summary.  ``bound``
+and every twin-free corpus record take one certified path at any n: the
+exact pipeline, which leaves through the first split of V into two
+locating sets; only a graph with no split runs the full sums, refused
+above bound.EXACT_CEILING_DEFAULT.  A record that fails gets an ``error``
+field and the sweep goes on; it exits 5 if a record had a bound
+violation, which outranks the 2 of a failed record.
 """
 
 from __future__ import annotations
@@ -113,18 +117,8 @@ def _reverify(g: graphs.Graph, l_witness: int, ld_witness: int) -> None:
         raise VerificationFailed("locating-dominating witness failed re-verification")
 
 
-def _bipartition(g: graphs.Graph) -> solver.PartitionWitness:
-    """two_locating_partition, its witness re-checked before it is serialized."""
-    w = solver.two_locating_partition(g)
-    if w.found and not (
-        w.x ^ w.y == g.full_set and location.is_locating(g, w.x) and location.is_locating(g, w.y)
-    ):
-        raise VerificationFailed("bipartition witness failed re-verification")
-    return w
-
-
-def _bound_record(g: graphs.Graph, mode: str, max_exact: int) -> dict:
-    report = bound.construct_ld(g, mode=mode, max_exact=max_exact)
+def _bound_record(g: graphs.Graph) -> dict:
+    report = bound.construct_ld(g)
     _reverify(g, report.witness, report.ld_witness)
     return {
         "mode": report.mode,
@@ -194,15 +188,13 @@ def check(input: str) -> None:
 
 @main.command(name="bound")
 @click.argument("input", default="-")
-@click.option("--mode", type=click.Choice(["exact", "heuristic"]), default="exact")
-@click.option("--max-exact", type=int, default=bound.EXACT_CEILING_DEFAULT, callback=partial(_at_least, 0))
-def bound_cmd(input: str, mode: str, max_exact: int) -> None:
-    """Run the constructive bound pipeline and print the candidate table."""
+def bound_cmd(input: str) -> None:
+    """Run the certified bound pipeline and print the candidate table."""
     timer = _Timer()
     g = _load_graph(input)
     timer.mark("parse")
     record = _base_record(g)
-    record.update(_bound_record(g, mode, max_exact))
+    record.update(_bound_record(g))
     timer.mark("construct")
     record["timings_ms"] = timer.phases
     click.echo(_dumps(record))
@@ -239,7 +231,12 @@ def partition2(input: str) -> None:
     """Search for a bipartition into two locating sets."""
     g = _load_graph(input)
     record = _base_record(g)
-    w = _bipartition(g)
+    w = solver.two_locating_partition(g)
+    # re-checked before it is serialized
+    if w.found and not (
+        w.x ^ w.y == g.full_set and location.is_locating(g, w.x) and location.is_locating(g, w.y)
+    ):
+        raise VerificationFailed("bipartition witness failed re-verification")
     record.update({"q1_found": w.found, "x": _vs(w.x), "y": _vs(w.y)})
     if not w.found and record["twin_free"]:
         click.echo("NOTE: twin-free graph with no two-locating-set partition", err=True)
@@ -290,21 +287,28 @@ class _Tally:
         self.violations: list[str] = []  # graph6 of each bound violation
 
     def add(self, record: dict) -> None:
+        """Count a record whose graph was built, failed or not; a failed
+        one adds nothing to max_ld or q1_not_found, as its fields may stop
+        short."""
         if "error" in record:
             self.errors.append((record["index"], record["error"]))
+        if "n" not in record:  # the graph was never built
             return
         stats = self.per_n.setdefault(record["n"], [0] * len(_SUMMARY_FIELDS))
         stats[0] += 1
-        if record["twin_free"]:
-            stats[1] += 1
-            ld = record.get("ld_exact", record.get("ld_upper"))
-            if ld is not None:
-                stats[2] = max(stats[2], ld)
-            if "bound_violation" in record:
-                stats[3] += 1
-                self.violations.append(record["graph_id"])
-            if record.get("q1_found") is False:
-                stats[4] += 1
+        if not record["twin_free"]:
+            return
+        stats[1] += 1
+        if "bound_violation" in record:
+            stats[3] += 1
+            self.violations.append(record["graph_id"])
+        if "error" in record:
+            return
+        ld = record.get("ld_exact", record.get("ld_upper"))
+        if ld is not None:
+            stats[2] = max(stats[2], ld)
+        if record.get("q1_found") is False:
+            stats[4] += 1
 
     def merge(self, other: "_Tally") -> None:
         for n, theirs in other.per_n.items():
@@ -367,16 +371,14 @@ def _corpus_record(build, index: int, item, opt: dict) -> dict:
 def _twin_free_fields(g: graphs.Graph, opt: dict, record: dict) -> None:
     """Add the bound, the oracles and q1 to the record of a twin-free graph.
 
-    An exact record takes q1_found from its S: S = n exactly when V splits
-    into two locating sets, and with S = n strict candidate_sets has just
-    found both sides of that split (eq1 = a and eq2 = V \\ a) locating with
-    the set-based is_locating.  A heuristic record, or one whose bound
-    raised BoundViolation, has no exact S and runs the bipartition search,
-    whose witness _bipartition re-checks.
+    The record takes q1_found from its S: S = n exactly when V splits into
+    two locating sets, and with S = n strict candidate_sets has just found
+    both sides of that split (eq1 = a and eq2 = V \\ a) locating with the
+    set-based is_locating.  A record whose bound raised BoundViolation has
+    no S, and so no q1_found.
     """
-    mode = "exact" if g.n <= opt["max_exact"] else "heuristic"
     try:
-        record.update(_bound_record(g, mode, opt["max_exact"]))
+        record.update(_bound_record(g))
     except BoundViolation as exc:
         record["bound_violation"] = str(exc)
     if g.n <= opt["solve_ceiling"]:
@@ -388,11 +390,8 @@ def _twin_free_fields(g: graphs.Graph, opt: dict, record: dict) -> None:
         record["l_exact"] = l_opt.size
         record["ld_exact"] = ld_opt.size
         record["conjecture_half"] = 2 * ld_opt.size <= g.n + (g.n & 1)
-    if opt["q1"] and g.n <= solver.PARTITION2_CEILING:
-        if record.get("mode") == "exact":
-            record["q1_found"] = record["S"] == g.n
-        else:
-            record["q1_found"] = _bipartition(g).found
+    if opt["q1"] and "S" in record:
+        record["q1_found"] = record["S"] == g.n
 
 
 def _in_order(pool: Executor, fn, tasks: Iterable, window: int) -> Iterator:
@@ -428,10 +427,9 @@ def _usable_cpus() -> int:
     "and the output is byte-identical at any count",
 )
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--max-exact", type=int, default=bound.EXACT_CEILING_DEFAULT, callback=partial(_at_least, 0))
 @click.option("--solve-ceiling", type=int, default=solver.MIN_SET_CEILING, callback=partial(_at_least, 0))
 @click.option("--no-q1", is_flag=True, default=False)
-def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
+def corpus(source, jobs, out, solve_ceiling, no_q1) -> None:
     """Sweep a corpus: SOURCE is a file of graph6 lines, '-' for stdin,
     or a generator spec 'all:N' for every labeled graph on N vertices."""
     if source.startswith("all:"):
@@ -447,11 +445,7 @@ def corpus(source, jobs, out, max_exact, solve_ceiling, no_q1) -> None:
         numbered = graphs.graph6_lines(text)
         line_numbers = [i for i, _ in numbered]
         items = [line for _, line in numbered]
-    opt = {
-        "max_exact": max_exact,
-        "solve_ceiling": solve_ceiling,
-        "q1": not no_q1,
-    }
+    opt = {"solve_ceiling": solve_ceiling, "q1": not no_q1}
     # a pool forks all its workers at the first submit, so it gets no more
     # than can run at once or have a chunk to do; the output is the same
     workers = min(jobs, _usable_cpus())

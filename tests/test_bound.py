@@ -287,14 +287,15 @@ class TestMaxScoreExact:
 
     @pytest.mark.parametrize("kind", ["path", "cycle"])
     def test_long_paths_certified(self, kind):
-        # far above the default exact ceiling the split search still leaves
-        # at once: the walk over the high vertices skips every subtree whose
-        # planes leave no split, where a scan of the blocks took 337 s at P40
+        # far above the default exact ceiling, which bounds only the full
+        # sums, the split search still leaves at once: the walk over the high
+        # vertices skips every subtree whose planes leave no split, where a
+        # scan of the blocks took 337 s at P40
         for n in (25, 32, 40, 64, 100):
             g = generate(kind, n)
-            report = construct_ld(g, max_exact=n)
+            report = construct_ld(g)
             assert report.certified and (report.s_value, report.k) == (n, 0)
-            s, r = max_score_exact(g, ceiling=n)
+            s, r = max_score_exact(g)
             assert s == n
             assert ref_is_locating(g, to_set(r)) and ref_is_locating(g, to_set(g.full_set ^ r))
             assert ref_is_locating(g, to_set(report.witness))
@@ -364,12 +365,33 @@ class TestMaxScoreExact:
         with pytest.raises(RefusedScale):
             max_score_exact(g)
 
-    def test_negative_ceiling(self, p4):
-        # misuse, as the CLI's options read it; a ceiling of 0 still refuses
+    def test_negative_ceiling(self, p4, monkeypatch):
+        # misuse, as the CLI's options read it, rejected before any walk; a
+        # ceiling of 0 bounds only the full sums, which P4's split never reaches
+        assert max_score_exact(p4, ceiling=0) == max_score_exact(p4) == (4, 0b0011)
+
+        def walked(g, pinned):
+            raise AssertionError("split search ran")
+
+        monkeypatch.setattr(bound, "first_split", walked)
         with pytest.raises(InvalidInput, match="^ceiling must be at least 0, got -3$"):
             max_score_exact(p4, ceiling=-3)
-        with pytest.raises(RefusedScale):
-            max_score_exact(p4, ceiling=0)
+
+    def test_refused_after_the_walk(self, monkeypatch):
+        # open_twin(18, 1) has no split (S = 16): the walk runs, finds none,
+        # and only then are the full sums refused at ceiling n - 1
+        g = open_twin(18, 1)
+        calls = []
+        real = bound.first_split
+
+        def counted(g, pinned):
+            calls.append(pinned)
+            return real(g, pinned)
+
+        monkeypatch.setattr(bound, "first_split", counted)
+        with pytest.raises(RefusedScale, match="^exact maximization refused for n=18 > 17$"):
+            max_score_exact(g, ceiling=17)
+        assert calls == [False]
 
 
 @settings(derandomize=True, deadline=None)
@@ -614,8 +636,17 @@ class TestConstruct:
     def test_negative_max_exact(self, p4):
         with pytest.raises(InvalidInput, match="^max_exact must be at least 0, got -3$"):
             construct_ld(p4, max_exact=-3)
-        with pytest.raises(RefusedScale):
-            construct_ld(p4, max_exact=0)
+        # 0 bounds only the full sums, and P4 leaves through its split
+        assert construct_ld(p4, max_exact=0) == construct_ld(p4)
+
+    def test_ceiling_bounds_only_full_sums(self):
+        # every twin-free labeled graph with n <= 6 splits, so a ceiling of 0
+        # changes nothing: the same report, certified, at every n
+        family = [g for n in range(7) for g in all_labeled_graphs(n) if is_twin_free(g)]
+        for g in family:
+            report = construct_ld(g, max_exact=0)
+            assert report == construct_ld(g) and report.certified
+        assert len(family) == 14150
 
     def test_empty_graph(self):
         r = construct_ld(new_graph(0, []))

@@ -76,15 +76,24 @@ class TestBound:
         result = runner.invoke(main, ["bound", "-"], input="Cl\n")
         assert result.exit_code == EXIT_TWINS
 
-    def test_heuristic_mode(self, runner):
-        rec = run_json(runner, ["bound", "-", "--mode", "heuristic"], input="Ch\n")
-        assert rec["certified"] is False
+    def test_certified_above_full_sums_ceiling(self, runner):
+        # gen gnp 60 --p 0.3 --seed 1 | bound -: n is far above
+        # EXACT_CEILING_DEFAULT, which bounds only the full sums, and the
+        # graph leaves through its first split
+        g60 = runner.invoke(main, ["gen", "gnp", "60", "--p", "0.3", "--seed", "1"]).stdout
+        rec = run_json(runner, ["bound", "-"], input=g60)
+        assert (rec["n"], rec["mode"], rec["certified"], rec["S"], rec["k"]) == (60, "exact", True, 60, 0)
+        assert rec["l_upper"] <= 37 and rec["ld_upper"] <= 38
 
-    def test_refused_scale(self, runner):
-        result = runner.invoke(main, ["bound", "-", "--max-exact", "3"], input="Ch\n")
+    def test_refused_scale(self, runner, monkeypatch):
+        # with its split patched away P25 needs the full sums, refused above
+        # the ceiling
+        monkeypatch.setattr(bound, "first_split", lambda g, pinned: None)
+        p25 = runner.invoke(main, ["gen", "path", "25"]).stdout
+        result = runner.invoke(main, ["bound", "-"], input=p25)
         assert result.exit_code == EXIT_SCALE
         assert result.stdout == ""
-        assert result.stderr.splitlines() == ["error: exact maximization refused for n=4 > 3"]
+        assert result.stderr.splitlines() == ["error: exact maximization refused for n=25 > 24"]
 
     def test_bound_violation_exit(self, runner, monkeypatch):
         def violate(g, **kwargs):
@@ -238,12 +247,10 @@ class TestNegativeCeiling:
     @pytest.mark.parametrize(
         "args,option,value",
         [
-            (["bound", "-", "--max-exact", "-3"], "--max-exact", -3),
             (["solve", "-", "--ceiling", "-1"], "--ceiling", -1),
-            (["corpus", "-", "--max-exact", "-2"], "--max-exact", -2),
             (["corpus", "-", "--solve-ceiling", "-1"], "--solve-ceiling", -1),
         ],
-        ids=["bound-max-exact", "solve-ceiling", "corpus-max-exact", "corpus-solve-ceiling"],
+        ids=["solve-ceiling", "corpus-solve-ceiling"],
     )
     def test_exits_parse(self, runner, args, option, value):
         result = runner.invoke(main, args, input="Ch\n")
@@ -257,10 +264,42 @@ class TestNegativeCeiling:
         assert result.stderr.splitlines() == ["error: oracle refused for n=4 > 0"]
 
 
+class TestRemovedOptions:
+    # one certified path: no mode to pick and no ceiling on the split
+    # search, so these are click usage errors
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bound", "-", "--mode", "heuristic"],
+            ["bound", "-", "--max-exact", "3"],
+            ["corpus", "-", "--max-exact", "2"],
+        ],
+        ids=["bound-mode", "bound-max-exact", "corpus-max-exact"],
+    )
+    def test_rejected(self, runner, args):
+        result = runner.invoke(main, args, input="Ch\n")
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        # click's wording of the option differs between its versions
+        last = result.stderr.splitlines()[-1]
+        assert last.startswith("Error: No such option") and args[2] in last
+
+
 class TestQuestionTools:
     def test_partition2(self, runner):
         rec = run_json(runner, ["partition2", "-"], input="Ch\n")
         assert rec["q1_found"] is True
+
+    def test_bad_bipartition_witness_caught(self, runner, monkeypatch):
+        # {0} does not locate C5: vertices 1 and 4 both see just vertex 0;
+        # in process, beside the python -O run of
+        # test_bad_witness_caught_under_optimize
+        witness = solver.PartitionWitness(1, 0b11110, True)
+        monkeypatch.setattr(solver, "two_locating_partition", lambda g: witness)
+        result = runner.invoke(main, ["partition2", "-"], input="Dhc\n")
+        assert result.exit_code == EXIT_PARSE
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: bipartition witness failed re-verification"]
 
     def test_partition2_note(self, runner, monkeypatch):
         # the NOTE is for a twin-free graph without a witness; P4 has one,
@@ -405,6 +444,50 @@ class TestCorpus:
         assert records[1]["error"] == "VerificationFailed: planted failure"
         assert result.stderr.splitlines() == ["error: line 2: VerificationFailed: planted failure"]
 
+    def test_failed_record_counted(self, runner, tmp_path, monkeypatch):
+        # C5 was built, so it counts in graphs and twin_free, but its failed
+        # bound adds nothing to max_ld or q1_not_found
+        exc = VerificationFailed("planted failure")
+        result, _ = self._sweep_failing_on_c5(runner, tmp_path, monkeypatch, exc)
+        assert result.stdout.splitlines()[-2:] == ["4,2,2,2,0,0", "5,1,1,0,0,0"]
+
+    def test_violation_in_failed_record_counted(self, runner, tmp_path, monkeypatch):
+        # C5's bound is violated and then its oracle witness fails: the
+        # violation is still counted and still outranks the failure
+        def violate(g, **kwargs):
+            raise BoundViolation("planted violation")
+
+        real = solver.min_locating_dominating
+
+        def not_dominating_on_c5(g, **kwargs):
+            # {0, 1} locates C5 but leaves vertex 3 undominated
+            return solver.OptimumWitness(2, 0b11) if g.n == 5 else real(g, **kwargs)
+
+        monkeypatch.setattr(solver, "min_locating_dominating", not_dominating_on_c5)
+        result, records = self._sweep_patched_on_c5(
+            runner, tmp_path, monkeypatch, bound, "construct_ld", violate, exit_code=EXIT_BOUND
+        )
+        assert records[1]["bound_violation"] == "planted violation" and "error" in records[1]
+        assert result.stdout.splitlines()[-2:] == ["4,2,2,2,0,0", "5,1,1,0,1,0"]
+        assert result.stderr.splitlines()[-1] == "BOUND VIOLATION: Dhc"
+
+    def test_refused_record(self, runner, tmp_path, monkeypatch):
+        # with the split search patched away P4 and C5 still certify through
+        # the full sums, while P25 is refused above the ceiling: one failed
+        # record, and the sweep goes on
+        monkeypatch.setattr(bound, "first_split", lambda g, pinned: None)
+        src = tmp_path / "three.g6"
+        src.write_text(f"Ch\n{encode_graph6(generate('path', 25))}\nDhc\n")
+        out = tmp_path / "reports.jsonl"
+        result = runner.invoke(main, ["corpus", str(src), "--out", str(out)])
+        assert result.exit_code == EXIT_PARSE
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        message = "RefusedScale: exact maximization refused for n=25 > 24"
+        assert records[1]["error"] == message and "S" not in records[1]
+        assert [(r["n"], r["certified"], r["S"]) for r in (records[0], records[2])] == [(4, True, 4), (5, True, 5)]
+        assert result.stderr.splitlines() == [f"error: line 2: {message}"]
+        assert result.stdout.splitlines()[-3:] == ["4,1,1,2,0,0", "5,1,1,2,0,0", "25,1,1,0,0,0"]
+
     def test_bound_violation_outranks_parse_error(self, runner, tmp_path, monkeypatch):
         def violate(g, **kwargs):
             raise BoundViolation("planted violation")
@@ -412,9 +495,9 @@ class TestCorpus:
         result, records = self._sweep_patched_on_c5(
             runner, tmp_path, monkeypatch, bound, "construct_ld", violate, last="bad!", exit_code=EXIT_BOUND
         )
-        # no S, so q1_found comes from the bipartition search
+        # no S, so no q1_found
         assert records[1]["bound_violation"] == "planted violation"
-        assert "S" not in records[1] and records[1]["q1_found"] is True
+        assert "S" not in records[1] and "q1_found" not in records[1]
         assert records[2] == {"index": 2, "error": "character '!' outside graph6 alphabet", "input": "bad!"}
         assert result.stdout.splitlines()[-1] == "5,1,1,2,1,0"
         assert result.stderr.splitlines() == [
@@ -444,32 +527,17 @@ class TestCorpus:
         assert "ld_exact" not in records[1]
         assert result.stderr.splitlines() == [f"error: line 2: {message}"]
 
-    def test_bad_bipartition_witness_caught(self, runner, tmp_path, monkeypatch):
-        # {0} does not locate C5: vertices 1 and 4 both see just vertex 0.
-        # An exact record takes q1 from its S, so --max-exact 4 puts C5 in
-        # heuristic mode, where the bipartition search still runs
-        def not_locating(g, **kwargs):
-            return solver.PartitionWitness(1, 0b11110, True)
-
-        result, records = self._sweep_patched_on_c5(
-            runner, tmp_path, monkeypatch, solver, "two_locating_partition", not_locating, ["--max-exact", "4"]
-        )
-        message = "VerificationFailed: bipartition witness failed re-verification"
-        assert records[1]["mode"] == "heuristic"
-        assert records[1]["error"] == message
-        assert "q1_found" not in records[1]
-        assert result.stderr.splitlines() == [f"error: line 2: {message}"]
-
     def test_q1_not_found_counted(self, runner, tmp_path, monkeypatch):
-        # --max-exact 4 puts C5 in heuristic mode, where q1 comes from the
-        # bipartition search; a search that finds no split is counted
-        def no_split(g, **kwargs):
-            return solver.PartitionWitness(0, 0, False)
+        # q1 comes from S; a C5 bound that reports S < n is counted
+        real = bound.construct_ld
+
+        def short_s(g, **kwargs):
+            return real(g, **kwargs)._replace(s_value=g.n - 1)
 
         result, records = self._sweep_patched_on_c5(
-            runner, tmp_path, monkeypatch, solver, "two_locating_partition", no_split, ["--max-exact", "4"], exit_code=0
+            runner, tmp_path, monkeypatch, bound, "construct_ld", short_s, exit_code=0
         )
-        assert records[1]["mode"] == "heuristic" and records[1]["q1_found"] is False
+        assert (records[1]["mode"], records[1]["S"], records[1]["q1_found"]) == ("exact", 4, False)
         assert result.stdout.splitlines()[-2:] == ["4,2,2,2,0,0", "5,1,1,2,0,1"]
         assert result.stderr == ""
 
@@ -509,7 +577,7 @@ class TestCorpus:
         # the bound's split search and the three oracles share one build
         location.miss_planes.cache_clear()
         record = {}
-        _twin_free_fields(generate("cycle", 7), {"max_exact": 20, "solve_ceiling": 16, "q1": True}, record)
+        _twin_free_fields(generate("cycle", 7), {"solve_ceiling": 16, "q1": True}, record)
         assert {"S", "l_exact", "ld_exact", "q1_found"} <= set(record)
         assert location.miss_planes.cache_info().misses == 1
 
@@ -553,17 +621,17 @@ class TestCorpus:
         assert record["l_exact"] <= record["ld_exact"] <= record["ld_upper"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_max_exact_picks_mode(self, runner, tmp_path, jobs):
-        # P4 (n = 4) is at the ceiling and C5 (n = 5) above it
-        src = tmp_path / "p4c5.g6"
-        src.write_text("Ch\nDhc\n")
+    def test_every_record_exact(self, runner, tmp_path, jobs):
+        # P4, C5 and P30, the last above EXACT_CEILING_DEFAULT, all take the
+        # one certified path, with q1 read off S
+        src = tmp_path / "p4c5p30.g6"
+        src.write_text(f"Ch\nDhc\n{encode_graph6(generate('path', 30))}\n")
         out = tmp_path / "reports.jsonl"
-        args = ["corpus", str(src), "--max-exact", "4", "--jobs", jobs, "--out", str(out)]
-        result = runner.invoke(main, args)
+        result = runner.invoke(main, ["corpus", str(src), "--jobs", jobs, "--out", str(out)])
         assert result.exit_code == 0, result.output
         records = [json.loads(line) for line in out.read_text().splitlines()]
-        modes = [(r["n"], r["mode"], r["certified"]) for r in records]
-        assert modes == [(4, "exact", True), (5, "heuristic", False)]
+        modes = [(r["n"], r["mode"], r["certified"], r["q1_found"]) for r in records]
+        assert modes == [(4, "exact", True, True), (5, "exact", True, True), (30, "exact", True, True)]
 
     def test_jobs_determinism(self, runner, tmp_path):
         out1 = tmp_path / "a.jsonl"
@@ -676,9 +744,9 @@ class TestCorpus:
 
 
 class TestQ1FromS:
-    """An exact record takes q1_found from S = n, with no bipartition search."""
+    """A record takes q1_found from S = n, with no bipartition search."""
 
-    OPT = {"max_exact": 24, "solve_ceiling": 0, "q1": True}  # no oracles: q1 alone is checked
+    OPT = {"solve_ceiling": 0, "q1": True}  # no oracles: q1 alone is checked
 
     def test_matches_bipartition_search(self):
         family = [g for n in range(1, 7) for g in all_labeled_graphs(n) if is_twin_free(g)]
