@@ -13,8 +13,8 @@ ceil(5n/8).
 A set is scored once: score_sum returns a ScoredSet carrying both trace
 partitions (the A-partition of V \\ A and the (V \\ A)-partition of A), the
 scores are their class counts, and each step reads the partitions of the
-set it was handed.  build_z starts from the A-classes of B and refines its
-Z-classes by one neighborhood per vertex it adds.
+set it was handed.  build_z reads the Z-classes of B off x_partition after
+each vertex it adds to Z.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .errors import BoundViolation, InvalidInput, TwinsPresent, VerificationFailed, refuse, require_at_least
 from .graphs import Graph, is_twin_free, members, random_subset
-from .location import fewest_repeats, first_split, outside_walk, refine, representatives, x_partition
+from .location import fewest_repeats, first_split, outside_walk, representatives, x_partition
 
 # the ceiling of the full sums alone (_max_score_full): a graph that splits
 # is certified at any n
@@ -257,17 +257,17 @@ def build_z(g: Graph, a: int, a_part: tuple[int, ...]) -> int:
     the two classes have distinct traces in a and no vertex of z separates
     them.  At most k-1 additions are needed.  The pair is the two smallest
     class minima in the first z-class, by minimum member, that holds two,
-    and the separator the smallest such vertex.  The z-partition starts as
-    the one class b and is refined, not rebuilt: adding w is one
-    location.refine step by N(w), the step x_partition takes on small
-    probe sets, which puts the parts back in minimum-member order.
+    and the separator the smallest such vertex.  The z-partition of b
+    starts as the one class b and is x_partition(g, z, b) after each
+    addition, so its classes stay in minimum-member order.
     """
     k = len(a_part)
     if k <= 1:
         return 0
     # one probe vertex per a-class, its minimum; traces are constant on a class
     probes = representatives(a_part)
-    z_part = [sum(a_part)]  # b: the classes are disjoint
+    b = sum(a_part)  # the classes are disjoint
+    z_part = (b,)
     z = 0
     while len(z_part) != k:
         if z.bit_count() >= k - 1:
@@ -282,7 +282,7 @@ def build_z(g: Graph, a: int, a_part: tuple[int, ...]) -> int:
         if sep is None:
             raise VerificationFailed("no separating vertex available in a \\ z")
         z |= 1 << sep
-        z_part = refine(z_part, (g.adj[sep],))
+        z_part = x_partition(g, z, b)
     return z
 
 

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success.  A locdom error is one ``error:`` line and the code
 of its class in _EXIT_CODES: InvalidInput 2, VerificationFailed 2,
-TwinsPresent 3, RefusedScale 4, BoundViolation 5, LocdomError 2.  Any other
+TwinsPresent 3, RefusedScale 4, BoundViolation 5, LocdomError 2.  A usage
+error (an unknown option or command, a bad option value) is one ``error:``
+line too, and exits 2; a bare ``locdom`` prints its help.  Any other
 exception is a bug and exits 1 with its traceback.  Single-graph commands
 print one JSON report; ``corpus`` streams JSON-lines records (one per input
 graph, in input order regardless of --jobs) and a CSV summary.  ``bound``
@@ -156,15 +158,35 @@ class _Timer:
         self._t0 = now
 
 
+@contextlib.contextmanager
+def _one_line_errors() -> Iterator[None]:
+    """Report a LocdomError as one ``error:`` line and its exit code, and a
+    click usage error (a bad option, argument or command name) as one
+    ``error:`` line and exit 2; a bare ``locdom`` still prints its help."""
+    try:
+        yield
+    except click.exceptions.NoArgsIsHelpError:  # click >= 8.2: shows the help
+        raise
+    except click.UsageError as exc:
+        # click wraps some messages (a choice's list of values) over lines
+        click.echo(f"error: {' '.join(exc.format_message().split())}", err=True)
+        sys.exit(exc.exit_code)
+    except LocdomError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(next(code for cls, code in _EXIT_CODES if isinstance(exc, cls)))
+
+
 class _Workbench(click.Group):
-    """Reports a LocdomError from any command as one line and its exit code."""
+    """Reports an error from the group's own options or from any command
+    through _one_line_errors."""
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        with _one_line_errors():
+            return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx: click.Context):
-        try:
+        with _one_line_errors():
             return super().invoke(ctx)
-        except LocdomError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(next(code for cls, code in _EXIT_CODES if isinstance(exc, cls)))
 
 
 @click.group(cls=_Workbench)

@@ -1,9 +1,11 @@
 """Neighborhood traces, trace partitions, and the locating/dominating predicates.
 
-The trace of a vertex v with respect to a set X is N(v) & X.  Partitioning a
-set Y (disjoint from X) by equal trace yields the X-partition of Y; a set X
-is locating when that partition of the complement of X has only singleton
-classes, and dominating when every outside vertex has a non-empty trace.
+The trace of a vertex v with respect to a set X is N(v) & X.  Grouping a set
+Y (disjoint from X) by equal trace yields the X-partition of Y, and
+x_partition is the one function that builds it: the bound reads every
+score, good set and separator off its tuples.  A set X is locating when
+that partition of the complement of X has only singleton classes, and
+dominating when every outside vertex has a non-empty trace.
 One walk over the complement (outside_walk) notes a repeated trace and the
 vertex with the empty trace; is_locating, is_locating_dominating and
 extend_to_dominating read it, and so does bound.candidate_sets, which keeps
@@ -49,22 +51,10 @@ from .graphs import Graph, members
 
 def x_partition(g: Graph, x: int, y: int) -> tuple[int, ...]:
     """Classes of y by equal trace on x, as bitmasks ordered by minimum
-    member; y must lie within V \\ x.
-
-    At most 2^|x| traces exist, so when 2^|x| <= |y| the one class y is
-    refined by the rows of x (refine); otherwise each vertex of y is
-    grouped by its trace.  Both ways give the same tuple.
-    """
+    member; y must lie within V \\ x."""
     if y & ~g.complement_set(x):
         raise InvalidInput("y must be a subset of the complement of x")
     adj = g.adj
-    if 1 << x.bit_count() <= y.bit_count():
-        rows = []
-        while x:  # members(x), inlined as below
-            low = x & -x
-            rows.append(adj[low.bit_length() - 1])
-            x ^= low
-        return tuple(refine((y,), rows))
     groups: dict[int, int] = {}
     while y:  # members(y), inlined: every set the bound scores comes through here
         low = y & -y
@@ -73,24 +63,6 @@ def x_partition(g: Graph, x: int, y: int) -> tuple[int, ...]:
         y ^= low
     # insertion order = first-seen order = order by minimum member
     return tuple(groups.values())
-
-
-def refine(classes: Iterable[int], rows: Iterable[int]) -> list[int]:
-    """Split every non-empty class by every row into its part inside the
-    row and the rest, dropping empty parts, and order the parts by minimum
-    member: one partition-refinement step per row."""
-    parts = list(classes)
-    for row in rows:
-        split = []
-        for cls in parts:
-            inside = cls & row
-            if 0 < inside < cls:  # a proper, non-empty part: cls splits in two
-                split += (inside, cls ^ inside)
-            else:
-                split.append(cls)
-        parts = split
-    parts.sort(key=lambda cls: cls & -cls)
-    return parts
 
 
 def representatives(classes: tuple[int, ...]) -> int:

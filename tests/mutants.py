@@ -116,6 +116,49 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "walk-lies-in-under-zero-branch",
+        "src/locdom/location.py",
+        "            if high & one == high:\n",
+        "            if high & h == high:\n",
+        (
+            "tests/test_location.py::test_first_split_walk_against_reference[free]",
+            "tests/test_location.py::test_first_split_walk_against_reference[pinned]",
+        ),
+    ),
+    Mutant(
+        "size-counters-one-short",
+        "src/locdom/location.py",
+        "sizes = SIZE_COUNTERS[: c.bit_length()]",
+        "sizes = SIZE_COUNTERS[: c.bit_length() - 1]",
+        (
+            "tests/test_solver.py::TestMinSets::test_edgeless[1]",
+            "tests/test_solver.py::TestMinSets::test_edgeless[8]",
+            "tests/test_solver.py::TestMinSets::test_edgeless[16]",
+            "tests/test_location.py::test_min_good_set_walk_against_reference",
+        ),
+    ),
+    Mutant(
+        "x-partition-sorted-by-value",
+        "src/locdom/location.py",
+        "    return tuple(groups.values())\n",
+        "    return tuple(sorted(groups.values()))\n",
+        (
+            "tests/test_location.py::TestXPartition::test_matches_reference",
+            "tests/test_bound.py::TestBuildZ::test_matches_from_scratch_greedy",
+        ),
+    ),
+    Mutant(
+        "build-z-partition-without-new-vertex",
+        "src/locdom/bound.py",
+        "        z_part = x_partition(g, z, b)\n",
+        "        z_part = x_partition(g, z ^ 1 << sep, b)\n",
+        (
+            "tests/test_bound.py::TestBuildZ::test_k2[Eo??-9]",
+            "tests/test_bound.py::TestBuildZ::test_k2[Eg??-10]",
+            "tests/test_bound.py::TestBuildZ::test_matches_from_scratch_greedy",
+        ),
+    ),
+    Mutant(
         "exit-code-row-dropped",
         "src/locdom/cli.py",
         "    (RefusedScale, EXIT_SCALE),\n",

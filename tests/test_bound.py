@@ -545,8 +545,8 @@ class TestBuildZ:
         # random a reach k = 4 and |z| = 3; the z-class order decides the
         # pair only when two z-classes each merge a-classes, which a sparse
         # a (density 0.2) at n = 20-30 gives more often: another 1,000
-        # cases, where a refinement that keeps the parts in place instead
-        # of re-sorting them by minimum member returns another z
+        # cases, where z-classes in any order other than by minimum member
+        # (say, sorted by value) return another z
         rng = random.Random(163)
         reach = set()
         family = [(g, 0.5) for g in random_graphs(200, 8, 14, seed0=163)]

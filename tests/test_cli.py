@@ -266,23 +266,49 @@ class TestNegativeCeiling:
 
 class TestRemovedOptions:
     # one certified path: no mode to pick and no ceiling on the split
-    # search, so these are click usage errors
+    # search, so these are click usage errors, and like every other usage
+    # error, from the group or from a command, they are one line naming
+    # what was wrong
     @pytest.mark.parametrize(
-        "args",
+        "args, named",
         [
-            ["bound", "-", "--mode", "heuristic"],
-            ["bound", "-", "--max-exact", "3"],
-            ["corpus", "-", "--max-exact", "2"],
+            (["bound", "-", "--mode", "heuristic"], "--mode"),
+            (["bound", "-", "--max-exact", "3"], "--max-exact"),
+            (["corpus", "-", "--max-exact", "2"], "--max-exact"),
+            (["--bogus"], "--bogus"),
+            (["nosuch"], "nosuch"),
+            (["corpus", "-", "--jobs", "x"], "--jobs"),
+            (["gen", "bogus", "3"], "bogus"),
+            (["gen"], "Missing argument"),
         ],
-        ids=["bound-mode", "bound-max-exact", "corpus-max-exact"],
+        ids=[
+            "bound-mode",
+            "bound-max-exact",
+            "corpus-max-exact",
+            "group-option",
+            "command",
+            "option-value",
+            "choice",
+            "missing-argument",
+        ],
     )
-    def test_rejected(self, runner, args):
+    def test_rejected(self, runner, args, named):
         result = runner.invoke(main, args, input="Ch\n")
         assert result.exit_code == EXIT_PARSE
         assert result.stdout == ""
         # click's wording of the option differs between its versions
-        last = result.stderr.splitlines()[-1]
-        assert last.startswith("Error: No such option") and args[2] in last
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and named in line
+
+    def test_bare_group_prints_help(self, runner):
+        result = runner.invoke(main, [])
+        assert result.exit_code == EXIT_PARSE
+        assert result.stderr.startswith("Usage: ") and "Commands:" in result.stderr
+
+    def test_help(self, runner):
+        result = runner.invoke(main, ["--help"])
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage: ") and "Commands:" in result.stdout
 
 
 class TestQuestionTools:

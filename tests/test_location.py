@@ -60,8 +60,6 @@ class TestXPartition:
             x_partition(p4, 0, 1 << 4)
 
     def test_matches_reference(self):
-        # x_partition refines y by the rows of x when 2^|x| <= |y| and groups
-        # y by trace otherwise; the cases below cover both sides
         rng = random.Random(31)
         cases = []
         for g in random_graphs(30, 2, 10, seed0=31):
@@ -69,7 +67,7 @@ class TestXPartition:
             for x in range(0, 1 << g.n, 3):
                 comp = g.complement_set(x)
                 cases += [(g, x, comp), (g, x, comp & rng.getrandbits(g.n)), (g, x, 0)]
-        # the switch point: 2^|x| = |y| is refined, 2^|x| = |y| + 1 is grouped
+        # as many vertices in y as possible traces on x (2^|x|), and one fewer
         for g in random_graphs(12, 12, 14, seed0=33):
             for size in (0, 1, 2, 3):
                 vertices = rng.sample(range(g.n), size + (1 << size))
@@ -84,12 +82,9 @@ class TestXPartition:
                     cases += [(g, x, comp), (g, x, comp & rng.getrandbits(n))]
                 x = rng.getrandbits(n)
                 cases.append((g, x, g.complement_set(x)))
-        refined = 0
         for g, x, y in cases:
-            refined += 1 << x.bit_count() <= y.bit_count()
             got = [to_set(c) for c in x_partition(g, x, y)]
             assert got == [set(c) for c in ref_partition(g, to_set(x), to_set(y))]
-        assert 0 < refined < len(cases)
 
     def test_disjoint_union_invariant(self):
         for g in random_graphs(10, 3, 8, seed0=37):
