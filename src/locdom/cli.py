@@ -6,8 +6,10 @@ TwinsPresent 3, RefusedScale 4, BoundViolation 5, LocdomError 2.  A usage
 error (an unknown option or command, a bad option value) is one ``error:``
 line too, and exits 2; a bare ``locdom`` prints its help.  Any other
 exception is a bug and exits 1 with its traceback.  Single-graph commands
-print one JSON report; ``corpus`` streams JSON-lines records (one per input
-graph, in input order regardless of --jobs) and a CSV summary.  ``bound``
+print one JSON report that depends on the input alone, so the same input
+gives the same bytes (no wall-clock timings ride in it); ``corpus`` streams
+JSON-lines records (one per input graph, in input order regardless of
+--jobs) and a CSV summary.  ``bound``
 and every twin-free corpus record take one certified path at any n: the
 exact pipeline, which leaves through the first split of V into two
 locating sets; only a graph with no split runs the full sums, refused
@@ -22,12 +24,11 @@ import contextlib
 import json
 import os
 import sys
-import time
 import traceback
 from collections import deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 import click
@@ -119,6 +120,17 @@ def _reverify(g: graphs.Graph, l_witness: int, ld_witness: int) -> None:
         raise VerificationFailed("locating-dominating witness failed re-verification")
 
 
+def _oracles(g: graphs.Graph, ceiling: int) -> tuple[solver.OptimumWitness, solver.OptimumWitness]:
+    """The exact minimum locating and locating-dominating sets, each witness
+    re-checked.  The oracles share their planes with the bound's split
+    search, so the set-based check is what keeps them from vouching for
+    each other."""
+    l_opt = solver.min_locating(g, ceiling=ceiling)
+    ld_opt = solver.min_locating_dominating(g, ceiling=ceiling)
+    _reverify(g, l_opt.witness, ld_opt.witness)
+    return l_opt, ld_opt
+
+
 def _bound_record(g: graphs.Graph) -> dict:
     report = bound.construct_ld(g)
     _reverify(g, report.witness, report.ld_witness)
@@ -139,23 +151,6 @@ def _at_least(floor: int, ctx: click.Context, param: click.Parameter, value: int
     """The click callback, bound to a floor by partial, that rejects an int
     option below it as misuse: one error line and exit 2."""
     return errors.require_at_least(param.opts[0], floor, value)
-
-
-class _Timer:
-    """Per-phase wall-clock milliseconds for single-graph reports.
-
-    Corpus records deliberately omit timings so output stays byte-identical
-    across runs and worker counts.
-    """
-
-    def __init__(self):
-        self.phases: dict[str, float] = {}
-        self._t0 = time.perf_counter()
-
-    def mark(self, phase: str) -> None:
-        now = time.perf_counter()
-        self.phases[phase] = round((now - self._t0) * 1000, 3)
-        self._t0 = now
 
 
 @contextlib.contextmanager
@@ -198,13 +193,9 @@ def main() -> None:
 @click.argument("input", default="-")
 def check(input: str) -> None:
     """Parse a graph and report twins and basic stats."""
-    timer = _Timer()
     g = _load_graph(input)
-    timer.mark("parse")
     record = _base_record(g)
     record["twins"] = [[t.u, t.v, t.kind] for t in graphs.find_twins(g)]
-    timer.mark("twins")
-    record["timings_ms"] = timer.phases
     click.echo(_dumps(record))
 
 
@@ -212,13 +203,9 @@ def check(input: str) -> None:
 @click.argument("input", default="-")
 def bound_cmd(input: str) -> None:
     """Run the certified bound pipeline and print the candidate table."""
-    timer = _Timer()
     g = _load_graph(input)
-    timer.mark("parse")
     record = _base_record(g)
     record.update(_bound_record(g))
-    timer.mark("construct")
-    record["timings_ms"] = timer.phases
     click.echo(_dumps(record))
 
 
@@ -227,15 +214,9 @@ def bound_cmd(input: str) -> None:
 @click.option("--ceiling", type=int, default=solver.MIN_SET_CEILING, callback=partial(_at_least, 0))
 def solve(input: str, ceiling: int) -> None:
     """Exact minimum locating and locating-dominating sets."""
-    timer = _Timer()
     g = _load_graph(input)
-    timer.mark("parse")
     record = _base_record(g)
-    l_opt = solver.min_locating(g, ceiling=ceiling)
-    ld_opt = solver.min_locating_dominating(g, ceiling=ceiling)
-    timer.mark("solve")
-    record["timings_ms"] = timer.phases
-    _reverify(g, l_opt.witness, ld_opt.witness)
+    l_opt, ld_opt = _oracles(g, ceiling)
     record.update(
         {
             "l_exact": l_opt.size,
@@ -293,9 +274,6 @@ def sk(input: str, k: int) -> None:
 # than computing it, few enough that the last chunks still spread over the
 # workers
 _CHUNK_MAX = 256
-
-# graph6 lines per write of gen
-_GEN_CHUNK = 4096
 
 _SUMMARY_FIELDS = ("graphs", "twin_free", "max_ld", "bound_violations", "q1_not_found")
 
@@ -404,11 +382,7 @@ def _twin_free_fields(g: graphs.Graph, opt: dict, record: dict) -> None:
     except BoundViolation as exc:
         record["bound_violation"] = str(exc)
     if g.n <= opt["solve_ceiling"]:
-        l_opt = solver.min_locating(g, ceiling=opt["solve_ceiling"])
-        ld_opt = solver.min_locating_dominating(g, ceiling=opt["solve_ceiling"])
-        # the oracles share their planes with the bound's split search, so the
-        # set-based check is what keeps them from vouching for each other
-        _reverify(g, l_opt.witness, ld_opt.witness)
+        l_opt, ld_opt = _oracles(g, opt["solve_ceiling"])
         record["l_exact"] = l_opt.size
         record["ld_exact"] = ld_opt.size
         record["conjecture_half"] = 2 * ld_opt.size <= g.n + (g.n & 1)
@@ -500,15 +474,29 @@ def corpus(source, jobs, out, solve_ceiling, no_q1) -> None:
         sys.exit(EXIT_PARSE)
 
 
+# lines per write of gen and convert
+_LINE_CHUNK = 4096
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    """Write each line and a newline to stdout, one write per _LINE_CHUNK
+    lines: click.echo flushes after every line, and gen all 7 is two million
+    lines."""
+    lines = iter(lines)
+    while chunk := "".join(line + "\n" for line in islice(lines, _LINE_CHUNK)):
+        sys.stdout.write(chunk)
+
+
 @main.command(context_settings=_NUMERIC_ARGS)
 @click.argument("kind", type=click.Choice(list(graphs.GENERATOR_KINDS) + ["all"]))
 @click.argument("n", type=int)
 @click.option("--p", type=float, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--count", type=int, default=1, help="gnp only: graphs for seeds seed..seed+count-1")
+@click.option(
+    "--count", type=int, default=1, callback=partial(_at_least, 1), help="gnp only: graphs for seeds seed..seed+count-1"
+)
 def gen(kind, n, p, seed, count) -> None:
     """Emit generated graphs as graph6 lines."""
-    errors.require_at_least("--count", 1, count)
     if kind != "gnp":
         for name, given in (("--p", p is not None), ("--seed", seed is not None), ("--count", count != 1)):
             if given:
@@ -521,11 +509,8 @@ def gen(kind, n, p, seed, count) -> None:
         seeds = (None if seed is None else seed + i for i in range(count))
         lines = (graphs.encode_graph6(graphs.generate("gnp", n, p, s)) for s in seeds)
     else:
-        lines = iter([graphs.encode_graph6(graphs.generate(kind, n))])
-    # one write per chunk of lines, as click.echo flushes after every line
-    # and all:7 is two million lines
-    while chunk := "".join(line + "\n" for line in islice(lines, _GEN_CHUNK)):
-        sys.stdout.write(chunk)
+        lines = [graphs.encode_graph6(graphs.generate(kind, n))]
+    _write_lines(lines)
 
 
 @main.command()
@@ -537,9 +522,7 @@ def convert(input: str, fmt: str) -> None:
     if fmt == "g6":
         click.echo(graphs.encode_graph6(g))
     else:
-        click.echo(f"n {g.n}")
-        for u, v in g.edges():
-            click.echo(f"{u} {v}")
+        _write_lines(chain([f"n {g.n}"], (f"{u} {v}" for u, v in g.edges())))
 
 
 if __name__ == "__main__":

@@ -139,17 +139,29 @@ def encode_graph6(g: Graph) -> str:
     return encode_pattern(g.n, m)
 
 
+def _pattern_bits(n: int, m: int) -> int:
+    """n(n-1)/2, the bit count of a triangle pattern on n vertices, for
+    n >= 0 and 0 <= m < 2^(n(n-1)/2); anything else names no graph and is
+    InvalidInput."""
+    if n < 0:
+        raise InvalidInput(f"negative vertex count {n}")
+    nbits = n * (n - 1) // 2
+    if m >> nbits:  # a bit past the last pair, or m < 0
+        raise InvalidInput(f"triangle pattern {m} outside 0..2^{nbits} - 1 for n={n}")
+    return nbits
+
+
 def encode_pattern(n: int, m: int) -> str:
     """The graph6 text of labeled_graph(n, m): the order, then the triangle
     pattern m as the bit stream, bit t of m the t-th bit, padded to whole
-    chunks.
+    chunks.  n and m are checked as labeled_graph checks them.
 
     Each 3 bytes of m, little-endian, hold 4 whole chunks, their first bits
     lowest, so each chunk is one lookup in a table of bit-reversed chunk
     characters: linear in the bit count.
     """
-    order = _encode_order(n)  # first, so too large an order raises at once
-    nbits = n * (n - 1) // 2
+    nbits = _pattern_bits(n, m)
+    order = _encode_order(n)  # before the bytes, so too large an order raises at once
     data = m.to_bytes(-(-nbits // 24) * 3, "little")
     chars = _G6_REVERSED
     out = [order]
@@ -403,10 +415,7 @@ def labeled_graph(n: int, m: int) -> Graph:
     row of up to 8 bytes is one struct field; a wider one is read from its
     bytes.
     """
-    if n < 0:
-        raise InvalidInput(f"negative vertex count {n}")
-    if m >> n * (n - 1) // 2:  # a bit past the last pair, or m < 0
-        raise InvalidInput(f"triangle pattern {m} outside 0..2^{n * (n - 1) // 2} - 1 for n={n}")
+    _pattern_bits(n, m)
     w = 8 if n <= 8 else 1 << (n - 1).bit_length()
     columns, swaps = _matrix_plan(w)
     low = 0

@@ -171,6 +171,37 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "walk-misses-under-one-branch",
+        "src/locdom/location.py",
+        "            if not high & h:\n",
+        "            if not high & one:\n",
+        (
+            "tests/test_location.py::test_first_split_walk_against_reference[free]",
+            "tests/test_location.py::test_first_split_walk_against_reference[pinned]",
+            "tests/test_location.py::test_min_good_set_walk_against_reference",
+            "tests/test_location.py::test_fewest_repeats_across_blocks[12]",
+            "tests/test_location.py::test_fewest_repeats_across_blocks[45]",
+        ),
+    ),
+    Mutant(
+        "oracles-without-reverify",
+        "src/locdom/cli.py",
+        "    _reverify(g, l_opt.witness, ld_opt.witness)\n    return l_opt, ld_opt\n",
+        "    return l_opt, ld_opt\n",
+        (
+            "tests/test_cli.py::TestSolve::test_bad_locating_witness_caught",
+            "tests/test_cli.py::TestCorpus::test_bad_oracle_witness_caught",
+            "tests/test_cli.py::test_bad_witness_caught_under_optimize[solve]",
+        ),
+    ),
+    Mutant(
+        "write-lines-drops-chunk-newline",
+        "src/locdom/cli.py",
+        '"".join(line + "\\n" for line in islice(lines, _LINE_CHUNK))',
+        '"\\n".join(islice(lines, _LINE_CHUNK))',
+        ("tests/test_cli.py::TestGenConvert::test_convert_edgelist_across_chunks",),
+    ),
+    Mutant(
         "transpose-first-swap-missing",
         "src/locdom/graphs.py",
         "steps = [w >> i for i in range(1, w.bit_length())]",
@@ -178,6 +209,18 @@ MUTANTS = (
         (
             "tests/test_graphs.py::TestLabeledGraphTranspose::test_matches_reference[9]",
             "tests/test_graphs.py::TestLabeledGraphTranspose::test_matches_reference[1025]",
+        ),
+    ),
+    Mutant(
+        "encode-pattern-unchecked",
+        "src/locdom/graphs.py",
+        "    nbits = _pattern_bits(n, m)\n    order = _encode_order(n)",
+        "    nbits = n * (n - 1) // 2\n    order = _encode_order(n)",
+        (
+            "tests/test_graphs.py::TestEnumeration::test_encode_pattern_rejects_bad_input[padding-bit]",
+            "tests/test_graphs.py::TestEnumeration::test_encode_pattern_rejects_bad_input[bit-past-last-chunk]",
+            "tests/test_graphs.py::TestEnumeration::test_encode_pattern_rejects_bad_input[pattern-negative]",
+            "tests/test_graphs.py::TestEnumeration::test_encode_pattern_rejects_bad_input[order-negative]",
         ),
     ),
 )

@@ -13,7 +13,7 @@ import locdom
 from locdom import bound, cli, errors, location, solver
 from locdom.cli import EXIT_BOUND, EXIT_PARSE, EXIT_SCALE, EXIT_TWINS, _in_order, _twin_free_fields, main
 from locdom.errors import BoundViolation, VerificationFailed
-from locdom.graphs import all_labeled_graphs, encode_graph6, generate, is_twin_free
+from locdom.graphs import all_labeled_graphs, decode_graph6, encode_graph6, generate, is_twin_free
 
 from conftest import random_graphs
 
@@ -172,6 +172,15 @@ def test_bad_witness_caught_under_optimize(command):
     assert proc.stdout == ""
     assert proc.stderr.startswith(message)
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "bound", "solve"])
+def test_single_graph_report_depends_on_input_alone(runner, command):
+    # no wall-clock field rides in a report, so two runs print the same bytes
+    outs = [runner.invoke(main, [command, "-"], input="Dhc\n") for _ in range(2)]
+    assert [r.exit_code for r in outs] == [0, 0], outs[0].output
+    assert outs[0].stdout == outs[1].stdout
+    assert "timings_ms" not in json.loads(outs[0].stdout)
 
 
 class TestInputErrors:
@@ -399,6 +408,17 @@ class TestGenConvert:
         el = runner.invoke(main, ["convert", "-", "--to", "edgelist"], input="Ch\n").stdout
         g6 = runner.invoke(main, ["convert", "-", "--to", "g6"], input=el).stdout
         assert g6.strip() == "Ch"
+
+    def test_convert_edgelist_across_chunks(self, runner):
+        # 6,073 edges, so the edge list spans two writes of _write_lines
+        text = runner.invoke(main, ["gen", "gnp", "200", "--p", "0.3", "--seed", "11"]).stdout
+        m = decode_graph6(text).edge_count
+        assert m + 1 > cli._LINE_CHUNK
+        el = runner.invoke(main, ["convert", "-", "--to", "edgelist"], input=text).stdout
+        lines = el.split("\n")
+        assert lines[0] == "n 200" and lines[-1] == ""
+        assert len(lines) - 1 == m + 1
+        assert runner.invoke(main, ["convert", "-", "--to", "g6"], input=el).stdout == text
 
 
 class TestCorpus:

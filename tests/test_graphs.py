@@ -313,6 +313,23 @@ class TestEnumeration:
         with pytest.raises(InvalidInput, match=message):
             labeled_graph(n, m)
 
+    @pytest.mark.parametrize(
+        "n,m,message",
+        [
+            (3, 8, r"^triangle pattern 8 outside 0\.\.2\^3 - 1 for n=3$"),
+            (4, 64, r"^triangle pattern 64 outside 0\.\.2\^6 - 1 for n=4$"),
+            (3, -1, r"^triangle pattern -1 outside 0\.\.2\^3 - 1 for n=3$"),
+            (-1, 0, "^negative vertex count -1$"),
+        ],
+        ids=["padding-bit", "bit-past-last-chunk", "pattern-negative", "order-negative"],
+    )
+    def test_encode_pattern_rejects_bad_input(self, n, m, message):
+        # the inverse of labeled_graph refuses what it refuses: unchecked,
+        # (3, 8) wrote a padding bit, (4, 64) lost its top bit and gave the
+        # empty graph, and (-1, 0) wrote an order outside the graph6 alphabet
+        with pytest.raises(InvalidInput, match=message):
+            encode_pattern(n, m)
+
     def test_labeled_graph_matches_reference(self):
         for n in range(7):
             for m, edges in enumerate(ref_labeled_edges(n)):
