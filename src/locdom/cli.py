@@ -9,7 +9,9 @@ exception is a bug and exits 1 with its traceback.  Single-graph commands
 print one JSON report that depends on the input alone, so the same input
 gives the same bytes (no wall-clock timings ride in it); ``corpus`` streams
 JSON-lines records (one per input graph, in input order regardless of
---jobs) and a CSV summary.  ``bound``
+--jobs) and a CSV summary; only a corpus that forks workers loads the
+process pool and the multiprocessing machinery behind it, so every other
+command, and a corpus run in process, starts without them.  ``bound``
 and every twin-free corpus record take one certified path at any n: the
 exact pipeline, which leaves through the first split of V into two
 locating sets; only a graph with no split runs the full sums, refused
@@ -26,15 +28,17 @@ import os
 import sys
 import traceback
 from collections import deque
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from functools import partial
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import click
 
 from . import bound, errors, graphs, location, solver
 from .errors import BoundViolation, InvalidInput, LocdomError, RefusedScale, TwinsPresent, VerificationFailed
+
+if TYPE_CHECKING:  # at run time only _process_pool imports the pool
+    from concurrent.futures import Executor, Future
 
 EXIT_PARSE = 2
 EXIT_TWINS = 3
@@ -93,12 +97,10 @@ def _vs(s: int) -> list[int]:
     return list(graphs.members(s))
 
 
-# one encoder for every record: json.dumps with options builds a new one per call
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _dumps(record: dict) -> str:
-    return _ENCODER.encode(record)
+# one encoder for every record: json.dumps with options builds a new one per
+# call; records are trees built here, so the cycle check only costs time
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_dumps = _ENCODER.encode
 
 
 def _base_record(g: graphs.Graph, graph_id: str | None = None) -> dict:
@@ -407,9 +409,16 @@ def _in_order(pool: Executor, fn, tasks: Iterable, window: int) -> Iterator:
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _process_pool(workers: int) -> Executor:
+    """A pool of worker processes, imported here: its module pulls in
+    multiprocessing, socket and pickle, which every other command and an
+    in-process corpus would load for nothing."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 @main.command()
@@ -453,8 +462,7 @@ def corpus(source, jobs, out, solve_ceiling, no_q1) -> None:
     with contextlib.ExitStack() as stack:
         sink = stack.enter_context(_open_output(out)) if out else sys.stdout
         if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            chunks = _in_order(pool, _corpus_chunk, tasks, 2 * workers)
+            chunks = _in_order(stack.enter_context(_process_pool(workers)), _corpus_chunk, tasks, 2 * workers)
         else:
             chunks = map(_corpus_chunk, tasks)
         for lines, part in chunks:

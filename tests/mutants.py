@@ -223,6 +223,18 @@ MUTANTS = (
             "tests/test_graphs.py::TestEnumeration::test_encode_pattern_rejects_bad_input[order-negative]",
         ),
     ),
+    Mutant(
+        "process-pool-imported-at-start-up",
+        "src/locdom/cli.py",
+        "from collections import deque\nfrom functools import partial\n",
+        "from collections import deque\nfrom concurrent.futures import ProcessPoolExecutor\nfrom functools import partial\n",
+        (
+            "tests/test_cli.py::test_process_pool_loaded_only_to_fork[import]",
+            "tests/test_cli.py::test_process_pool_loaded_only_to_fork[corpus-j1]",
+            "tests/test_cli.py::test_process_pool_loaded_only_to_fork[check]",
+            "tests/test_cli.py::test_process_pool_loaded_only_to_fork[bound]",
+        ),
+    ),
 )
 
 SURVIVORS = (

@@ -183,6 +183,46 @@ def test_single_graph_report_depends_on_input_alone(runner, command):
     assert "timings_ms" not in json.loads(outs[0].stdout)
 
 
+# the src beside this file, so that a copy of the repository tests its own code
+SRC = Path(__file__).resolve().parents[1] / "src"
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+
+
+@pytest.mark.parametrize(
+    "args, pooled",
+    [
+        ([], False),
+        (["corpus", "all:4", "--jobs", "1"], False),
+        (["check", "-"], False),
+        (["bound", "-"], False),
+        (["corpus", "all:4", "--jobs", "2"], True),
+    ],
+    ids=["import", "corpus-j1", "check", "bound", "corpus-j2"],
+)
+def test_process_pool_loaded_only_to_fork(args, pooled):
+    # a fresh interpreter, since this one has loaded the pool already; it
+    # reports the pool's modules it holds after the command, on its last line
+    # (two CPUs for the forking corpus, so it forks on any host)
+    script = (
+        "import json, sys\n"
+        "from locdom import cli\n"
+        "cli._usable_cpus = lambda: 2\n"
+        f"if {args!r}:\n"
+        f"    cli.main({args!r}, standalone_mode=False)\n"
+        f"print(json.dumps([m for m in {POOL_MODULES!r} if m in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input="Dhc\n",
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == (list(POOL_MODULES) if pooled else [])
+
+
 class TestInputErrors:
     """An input that cannot be read or parsed is one error line and exit 2."""
 
@@ -740,8 +780,8 @@ class TestCorpus:
         started = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+            def __init__(self, workers):
+                started.append(workers)
 
             def __enter__(self):
                 return self
@@ -754,7 +794,7 @@ class TestCorpus:
                 future.set_result(fn(task))
                 return future
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli, "_process_pool", InProcessPool)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         if not source.startswith("all:"):
             path = tmp_path / f"{source}.g6"
