@@ -18,10 +18,10 @@ subsets x of the c lowest vertices for each pattern h of the k = n - c high
 vertices, read as one 2^c-bit plane, with c = min(n, BLOCK_BITS) = min(n,
 12) in every scan, so no plane is wider than 2^12 bits at any n.  V \\ a
 lies in block top ^ h, top = 2^k - 1, at the complement of x.  miss_planes
-holds the planes of the pairs and closed neighborhoods that a locating
-(locating-dominating) set must hit, and vertex_planes the located ones
-split by vertex, the duplicate planes, each grouped by the part of its set
-above c.
+memoizes the located planes, of the pairs that a locating set must hit,
+and vertex_planes splits them by vertex, the duplicate planes, each
+grouped by the part of its set above c; min_good_set adds the closed
+neighborhoods that a locating-dominating set must also hit per call.
 One walk over the high vertices (_walk) gives a scan its blocks in
 increasing h: it ORs each group in once, at the node that decides its
 lowest high vertex, and skips a subtree where the scan's planes already
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import InvalidInput
 from .graphs import Graph, members
@@ -109,33 +108,10 @@ def _nibble_tables(c: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]
     return tuple(tables), tuple(tables[w >> 2][1 << (w & 3)] for w in range(c))
 
 
-# (high part, plane) pairs, the first with high part 0 (see MissPlanes)
+# (high part, plane) pairs over the subsets x of the c = min(n, BLOCK_BITS)
+# lowest vertices, the first with high part 0 (its plane 0 when no set has
+# that high part); tuples, as every caller of the memo shares them
 Groups = tuple[tuple[int, int], ...]
-
-
-class MissPlanes(NamedTuple):
-    """Planes over the subsets x of the c = min(n, BLOCK_BITS) lowest vertices.
-
-    Two vertices u < v are both outside a set a with equal traces iff a
-    misses M_uv = (N(u) xor N(v)) | {u, v}, and v is outside a and not
-    dominated by it iff a misses N[v].  With the vertices from c up fixed to
-    a pattern h, a = h << c | x misses a set M iff the high part H = M >> c
-    misses h and x misses the low part of M.  So each grouping below is a
-    tuple of pairs (H, plane), the plane being the OR of "x misses the low
-    part of M" over its sets M with that high part, and the first pair is
-    H = 0 (its plane 0 when no set has that high part): located over all
-    M_uv, so the OR of its planes whose H misses h marks the x for which
-    h << c | x is not locating; dominated over the M_uv and every N[v], so
-    it marks where it is not locating-dominating.  absent[w] is "w not in
-    x".  Tuples, as every caller of the memo shares them.  The located
-    planes split by v, over the same blocks, are vertex_planes, which only
-    the duplicate counts read.
-    """
-
-    c: int
-    absent: tuple[int, ...]
-    located: Groups
-    dominated: Groups
 
 
 def _or_pair_planes(g: Graph, c: int, groups: Sequence[dict[int, int]]) -> None:
@@ -160,31 +136,26 @@ def _or_pair_planes(g: Graph, c: int, groups: Sequence[dict[int, int]]) -> None:
 
 
 @lru_cache(maxsize=1)
-def miss_planes(g: Graph) -> MissPlanes:
-    """The MissPlanes of g, memoized for the last graph (a one-entry lru_cache
-    keyed by the frozen Graph): the exact bound's split search and the
-    solver's oracles, called in turn on one graph as a corpus record does,
-    build them once.  It holds one plane per high part in each grouping,
-    not one per vertex.  The pair loop takes the one dict located as the
-    target of every vertex, and each N[v] plane is ORed into a copy of it,
-    with the nibble lookups inlined as in the pair loop."""
-    c = min(g.n, BLOCK_BITS)
-    tables, absent = _nibble_tables(c)
-    first, rest = tables[0], tables[1:]
-    low_part = (1 << c) - 1
+def miss_planes(g: Graph) -> Groups:
+    """The located planes of g: where a set is not locating.
+
+    Two vertices u < v are both outside a set a with equal traces iff a
+    misses M_uv = (N(u) xor N(v)) | {u, v}.  With the vertices from c up
+    fixed to a pattern h, a = h << c | x misses a set M iff the high part
+    H = M >> c misses h and x misses the low part of M.  So each pair
+    (H, plane) ORs "x misses the low part of M_uv" over the pairs u < v
+    with that high part, and the OR of the planes whose H misses h marks
+    the x for which h << c | x is not locating.  The pair loop takes the
+    one dict as the target of every vertex, so the memo holds one plane per
+    high part, not one per vertex (those are vertex_planes).
+
+    Memoized for the last graph (a one-entry lru_cache keyed by the frozen
+    Graph): the exact bound's split search and the solver's oracles, called
+    in turn on one graph as a corpus record does, build them once.
+    """
     located = {0: 0}
-    _or_pair_planes(g, c, [located] * g.n)
-    dominated = dict(located)
-    for v, row in enumerate(g.adj):
-        m = row | 1 << v
-        high = m >> c
-        m &= low_part
-        plane = first[m & 15]
-        for table in rest:
-            m >>= 4
-            plane &= table[m & 15]
-        dominated[high] = dominated.get(high, 0) | plane
-    return MissPlanes(c, absent, tuple(located.items()), tuple(dominated.items()))
+    _or_pair_planes(g, min(g.n, BLOCK_BITS), [located] * g.n)
+    return tuple(located.items())
 
 
 def vertex_planes(g: Graph) -> tuple[Groups, ...]:
@@ -192,7 +163,7 @@ def vertex_planes(g: Graph) -> tuple[Groups, ...]:
 
     Blocks of 2^BLOCK_BITS subsets, as in miss_planes, whose located
     planes are the OR of these by high part.  Entry v groups the pairs
-    u < v by high part as MissPlanes does, so its planes whose high part
+    u < v by high part as miss_planes does, so its planes whose high part
     misses h OR to v's duplicate plane in block h: the x for which v, outside
     h << c | x, has the trace of some earlier vertex outside it.  The plane
     is empty wherever v is in h << c | x, as every M_uv holds v, so
@@ -315,11 +286,11 @@ def first_split(g: Graph, pinned: bool) -> int | None:
     two leave no x.  With pinned, only the x that hold vertex 0 count
     (n >= 1).
     """
-    planes = miss_planes(g)
-    c, located = planes.c, planes.located
+    located = miss_planes(g)
+    c = min(g.n, BLOCK_BITS)
     keep = (1 << (1 << c)) - 1
     if pinned:
-        keep ^= planes.absent[0]
+        keep ^= _nibble_tables(c)[1][0]
 
     def good(h: int, bad: list[int]) -> int:
         return keep & ~bad[0] & ~at_complements(bad[1], c)
@@ -341,33 +312,52 @@ def min_good_set(g: Graph, dominating: bool) -> tuple[int, int]:
 
     Blocks of 2^BLOCK_BITS subsets.  A block's smallest good x is least of
     the counters of |x| (SIZE_COUNTERS) on its good plane, the complement
-    of the located (or dominated) planes whose high part misses h (_walk);
-    the walk skips a subtree with no good x, or whose high part alone
-    outgrows the best size so far.
+    of the planes whose high part misses h (_walk): the located planes of
+    miss_planes, and with dominating the planes "x misses N[v]" besides,
+    as v is outside a and not dominated by it iff a misses N[v].  Only
+    this search reads those, so they are built per call, grouped by high
+    part as the located planes are, and not memoized.  The walk skips a
+    subtree with no good x, or whose high part alone outgrows the best
+    size so far.
     """
-    planes = miss_planes(g)
-    c = planes.c
+    c = min(g.n, BLOCK_BITS)
+    tables, absent = _nibble_tables(c)
     full = (1 << (1 << c)) - 1
-    groups = planes.dominated if dominating else planes.located
+    misses = [miss_planes(g)]
+    if dominating:
+        first, rest = tables[0], tables[1:]
+        low_part = (1 << c) - 1
+        closed = {0: 0}
+        for v, row in enumerate(g.adj):
+            m = row | 1 << v
+            high = m >> c
+            m &= low_part
+            plane = first[m & 15]  # the nibble lookups, inlined as in _or_pair_planes
+            for table in rest:
+                m >>= 4
+                plane &= table[m & 15]
+            closed[high] = closed.get(high, 0) | plane
+        misses.append(tuple(closed.items()))
     # a subset of the c low vertices has at most c members, so the counters
     # above c.bit_length() are 0 wherever least reads them
     sizes = SIZE_COUNTERS[: c.bit_length()]
     best_size, best = g.n + 1, 0
+    # bad[-1] holds the N[v] planes with dominating, and is bad[0] without
     if c < g.n:
-        blocks = _walk(g.n - c, (groups,), (), lambda h, bad: h.bit_count() <= best_size and bad[0] < full)
+        blocks = _walk(g.n - c, misses, (), lambda h, bad: h.bit_count() <= best_size and bad[0] | bad[-1] < full)
     else:  # one block, read directly, as in first_split
-        blocks = ((0, (groups[0][1],)),)
-    for h, (bad,) in blocks:
+        blocks = ((0, [groups[0][1] for groups in misses]),)
+    for h, bad in blocks:
         high_size = h.bit_count()
         # the walk passes no block without a good x, and the one block of
         # a graph with no high vertices holds V, which is good
-        low_size, cand = least(sizes, full ^ bad)
+        low_size, cand = least(sizes, full ^ (bad[0] | bad[-1]))
         if high_size + low_size > best_size:
             continue
         # combinations order among equal sizes: the set holding the smallest
         # element where two sets differ comes first, so keep each w in turn
         # whenever some remaining candidate holds it
-        for plane in planes.absent:
+        for plane in absent:
             held = cand & ~plane
             if held:
                 cand = held
@@ -428,12 +418,11 @@ def fewest_repeats(g: Graph) -> tuple[int, Iterator[int]]:
     with the plane of the x reaching it; the scan keeps those planes for
     the blocks at the fewest so far.
     """
-    planes = miss_planes(g)
-    c = planes.c
+    c = min(g.n, BLOCK_BITS)
     full = (1 << (1 << c)) - 1
     fewest = g.n + 1
     reached = []  # (block, plane of its x at fewest) for the blocks reaching fewest
-    blocks = _walk(g.n - c, vertex_planes(g), (planes.located,), lambda h, bad: bad[-1] < full)
+    blocks = _walk(g.n - c, vertex_planes(g), (miss_planes(g),), lambda h, bad: bad[-1] < full)
     for h, (*repeats, bad) in blocks:
         # the walk passes no block with an empty mask; a vertex of h has no
         # duplicates, so its plane is 0 and not counted

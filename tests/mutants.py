@@ -235,6 +235,50 @@ MUTANTS = (
             "tests/test_cli.py::test_process_pool_loaded_only_to_fork[bound]",
         ),
     ),
+    Mutant(
+        "ld-without-closed-planes",
+        "src/locdom/location.py",
+        "        misses.append(tuple(closed.items()))\n",
+        "",
+        (
+            "tests/test_solver.py::TestMinSets::test_edgeless[1]",
+            "tests/test_solver.py::TestMinSets::test_edgeless[16]",
+            "tests/test_solver.py::TestMinSets::test_cross_block_tie_break[17-1]",
+            "tests/test_solver.py::TestMinSets::test_raised_ceiling_keeps_block_width",
+            "tests/test_location.py::test_min_good_set_walk_against_reference",
+        ),
+    ),
+    Mutant(
+        "pair-planes-without-last-vertex",
+        "src/locdom/location.py",
+        "    for v, row in enumerate(adj):\n        target = groups[v]\n",
+        "    for v, row in enumerate(adj[:-1]):\n        target = groups[v]\n",
+        (
+            "tests/test_location.py::test_memo_holds_located_planes_alone[P14]",
+            "tests/test_location.py::test_memo_holds_located_planes_alone[gnp-14]",
+            "tests/test_location.py::test_first_split_walk_against_reference[free]",
+            "tests/test_location.py::test_fewest_repeats_against_reference",
+            "tests/test_location.py::TestSeparationScore::test_table_matches_reference",
+        ),
+    ),
+    Mutant(
+        "min-good-set-tie-keeps-first-block",
+        "src/locdom/location.py",
+        "if high_size + low_size < best_size or differ & -differ & x:",
+        "if high_size + low_size < best_size:",
+        (
+            "tests/test_solver.py::TestMinSets::test_cross_block_tie_break[17-1]",
+            "tests/test_solver.py::TestMinSets::test_cross_block_tie_break[18-5]",
+            "tests/test_location.py::test_min_good_set_walk_against_reference",
+        ),
+    ),
+    Mutant(
+        "in-order-submits-every-task-up-front",
+        "src/locdom/cli.py",
+        "    for task in tasks:\n",
+        "    for task in list(tasks):\n",
+        ("tests/test_cli.py::TestCorpus::test_window_bounds_pulled_tasks",),
+    ),
 )
 
 SURVIVORS = (

@@ -112,11 +112,10 @@ class TestScoreSum:
 @pytest.mark.parametrize(
     "record,field",
     [
-        (miss_planes, "located"),  # the memo's entry, shared by every caller
         (construct_ld, "witness"),
         (lambda g: score_sum(g, 1), "by_a"),
     ],
-    ids=["MissPlanes", "BoundReport", "ScoredSet"],
+    ids=["BoundReport", "ScoredSet"],
 )
 def test_records_immutable(p4, record, field):
     r = record(p4)
@@ -124,6 +123,17 @@ def test_records_immutable(p4, record, field):
     with pytest.raises(AttributeError):
         setattr(r, field, getattr(r, field))
     assert record(p4) == r
+
+
+@pytest.mark.parametrize("g", [new_graph(4, [(0, 1), (1, 2), (2, 3)]), generate("path", 17)], ids=["P4", "P17"])
+def test_memo_entry_is_shared_groups(g):
+    # the memo's entry, shared by every caller: a tuple of (high part,
+    # plane) pairs, high part 0 first, hashable, and equal on a second call
+    entry = miss_planes(g)
+    hash(entry)
+    assert type(entry) is tuple and entry[0][0] == 0
+    assert all(type(pair) is tuple and len(pair) == 2 and all(type(i) is int for i in pair) for pair in entry)
+    assert miss_planes(g) == entry
 
 
 class TestThinningMove:

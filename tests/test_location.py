@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locdom.bound import decompose, derive_good_set, score_sum
+from locdom.bound import construct_ld, decompose, derive_good_set, score_sum
 from locdom.errors import InvalidInput
 from locdom.graphs import all_labeled_graphs, generate, is_twin_free, new_graph, set_of
 from locdom.location import (
@@ -20,11 +20,13 @@ from locdom.location import (
     is_locating_dominating,
     least,
     min_good_set,
+    miss_planes,
     outside_walk,
     representatives,
     score_table,
     x_partition,
 )
+from locdom.solver import min_locating_dominating
 
 from conftest import random_graphs, small_graphs
 from oracles import (
@@ -374,3 +376,25 @@ def test_min_good_set_walk_against_reference():
             above += witness >> BLOCK_BITS > 0
     assert above >= 2
     assert size < g.n - BLOCK_BITS
+
+
+@pytest.mark.parametrize("g", [generate("path", 14), generate("gnp", 14, 0.3, 1)], ids=["P14", "gnp-14"])
+def test_memo_holds_located_planes_alone(g):
+    # after the split search and the LD oracle have read it, the memo equals
+    # the located grouping rebuilt from the sets M_uv over the 2^12 low
+    # subsets one by one: no plane of a closed neighborhood N[v] is ORed in;
+    # gnp 14 seed 1 has twins, so the bound refuses it and the test runs the
+    # bound's split search directly
+    if is_twin_free(g):
+        assert construct_ld(g).certified
+    first_split(g, pinned=False)
+    min_locating_dominating(g)
+    low = (1 << BLOCK_BITS) - 1
+    ref = {0: 0}
+    for v in range(g.n):
+        for u in range(v):
+            m = g.adj[u] ^ g.adj[v] | 1 << u | 1 << v
+            plane = sum(1 << x for x in range(1 << BLOCK_BITS) if not x & m & low)
+            ref[m >> BLOCK_BITS] = ref.get(m >> BLOCK_BITS, 0) | plane
+    memo = miss_planes(g)
+    assert memo[0][0] == 0 and len(memo) == len(ref) and dict(memo) == ref

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locdom import solver
+from locdom import location, solver
 from locdom.bound import max_score_exact, score_sum
 from locdom.errors import InvalidInput, RefusedScale
 from locdom.graphs import all_labeled_graphs, generate, is_twin_free, new_graph, set_of
@@ -129,11 +129,19 @@ class TestMinSets:
             ref = ref_min_witness(g, dominating)
             assert oracle(g, ceiling=n) == (len(ref), to_mask(ref))
 
-    def test_raised_ceiling_keeps_block_width(self):
+    def test_raised_ceiling_keeps_block_width(self, monkeypatch):
         # above 2^12 subsets the planes stay one block of 2^BLOCK_BITS wide,
-        # in the call and in the memo after it; one plane over all 2^24
-        # subsets is 2 MiB
+        # in the memo and in the LD search's planes built beside it; one
+        # plane over all 2^24 subsets is 2 MiB
         g = generate("path", 24)
+        walked = []
+        walk = location._walk
+
+        def spy(k, misses, lies_in, alive):
+            walked.extend(misses)
+            return walk(k, misses, lies_in, alive)
+
+        monkeypatch.setattr(location, "_walk", spy)
         tracemalloc.start()
         try:
             w = min_locating_dominating(g, ceiling=24)
@@ -143,11 +151,10 @@ class TestMinSets:
         assert (w.size, w.witness) == (10, 5412005)  # recorded from the combinations search
         assert peak < 1 << 21
         hits = miss_planes.cache_info().hits
-        planes = miss_planes(g)
+        memo = miss_planes(g)
         assert miss_planes.cache_info().hits == hits + 1
-        groupings = (planes.located, planes.dominated)
-        memo = [*planes.absent, *(p for groups in groupings for _, p in groups)]
-        assert max(p.bit_length() for p in memo) <= 1 << BLOCK_BITS
+        assert len(walked) == 2 and walked[0] == memo  # the memo and the closed neighborhoods
+        assert max(p.bit_length() for groups in walked for _, p in groups) <= 1 << BLOCK_BITS
 
     @pytest.mark.parametrize("g", [generate("path", 17), open_twin(24, 2)], ids=["P17", "open-twin-24"])
     def test_duplicate_planes_keep_block_width(self, g):
