@@ -20,17 +20,17 @@ vertices, read as one 2^c-bit plane, with c = min(n, BLOCK_BITS) = min(n,
 lies in block top ^ h, top = 2^k - 1, at the complement of x.  miss_planes
 memoizes the located planes, of the pairs that a locating set must hit,
 and vertex_planes splits them by vertex, the duplicate planes, each
-grouped by the part of its set above c; min_good_set adds the closed
-neighborhoods that a locating-dominating set must also hit per call.
+grouped by the part of its set above c; min_good_sets adds the closed
+neighborhoods that a locating-dominating set must also hit.
 One walk over the high vertices (_walk) gives a scan its blocks in
 increasing h: it ORs each group in once, at the node that decides its
 lowest high vertex, and skips a subtree where the scan's planes already
 leave no candidate.  count_planes sums planes into bit-sliced counters and
 least reads their minimum.  Four block scans read the walk: first_split
-(the first split of V into two locating sets), min_good_set (a smallest
-locating or locating-dominating set), fewest_repeats (the fewest
-duplicates over the r with V \\ r locating) and score_table (every
-separation score).
+(the first split of V into two locating sets), min_good_sets (a smallest
+locating set and a smallest locating-dominating set, from one walk),
+fewest_repeats (the fewest duplicates over the r with V \\ r locating) and
+score_table (every separation score).
 
 The separation score s(a) is |V \\ a| - D(a), where D(a) counts the
 vertices outside a whose trace on a repeats that of an earlier outside
@@ -108,6 +108,15 @@ def _nibble_tables(c: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]
     return tuple(tables), tuple(tables[w >> 2][1 << (w & 3)] for w in range(c))
 
 
+@lru_cache(maxsize=None)
+def _held_planes(c: int) -> tuple[int, ...]:
+    """The planes "w in x" over the 2^c subsets x of 0..c-1, for w < c: the
+    single-vertex planes of _nibble_tables(c), complemented.  Cached for
+    every c seen, as those are."""
+    full = (1 << (1 << c)) - 1
+    return tuple(full ^ absent for absent in _nibble_tables(c)[1])
+
+
 # (high part, plane) pairs over the subsets x of the c = min(n, BLOCK_BITS)
 # lowest vertices, the first with high part 0 (its plane 0 when no set has
 # that high part); tuples, as every caller of the memo shares them
@@ -172,6 +181,26 @@ def vertex_planes(g: Graph) -> tuple[Groups, ...]:
     groups: list[dict[int, int]] = [{0: 0} for _ in range(g.n)]
     _or_pair_planes(g, min(g.n, BLOCK_BITS), groups)
     return tuple(tuple(d.items()) for d in groups)
+
+
+def _closed_planes(g: Graph, c: int) -> Groups:
+    """The planes "x misses the low part of N[v]" ORed by the part of N[v]
+    above c, as miss_planes groups the located planes: v is outside a and
+    not dominated by it iff a misses N[v]."""
+    tables, _ = _nibble_tables(c)
+    first, rest = tables[0], tables[1:]
+    low_part = (1 << c) - 1
+    closed = {0: 0}
+    for v, row in enumerate(g.adj):
+        m = row | 1 << v
+        high = m >> c
+        m &= low_part
+        plane = first[m & 15]  # the nibble lookups, inlined as in _or_pair_planes
+        for table in rest:
+            m >>= 4
+            plane &= table[m & 15]
+        closed[high] = closed.get(high, 0) | plane
+    return tuple(closed.items())
 
 
 def _walk(
@@ -283,89 +312,85 @@ def first_split(g: Graph, pinned: bool) -> int | None:
     high part misses h, the x that are not locating, and those whose high
     part lies in h, block top ^ h, which read at complements marks the x
     whose complement is not locating; the walk skips a subtree where the
-    two leave no x.  With pinned, only the x that hold vertex 0 count
-    (n >= 1).
+    two leave no x.  It asks at every leaf too, so the first block it
+    passes holds the split, in the plane it has just asked about.  With
+    pinned, only the x that hold vertex 0 count (n >= 1).
     """
     located = miss_planes(g)
     c = min(g.n, BLOCK_BITS)
     keep = (1 << (1 << c)) - 1
     if pinned:
         keep ^= _nibble_tables(c)[1][0]
+    x = 0  # the good plane of the node the walk asked about last
 
     def good(h: int, bad: list[int]) -> int:
-        return keep & ~bad[0] & ~at_complements(bad[1], c)
+        nonlocal x
+        x = keep & ~bad[0] & ~at_complements(bad[1], c)
+        return x
 
-    if c < g.n:
-        blocks = _walk(g.n - c, (located,), (located,), good)
-    else:  # one block, read directly: a corpus of small graphs calls this per record
-        blocks = ((0, [located[0][1]] * 2),)
-    for h, bad in blocks:
-        x = good(h, bad)
-        if x:
-            return h << c | (x & -x).bit_length() - 1
+    if c == g.n:  # one block, read directly: a corpus of small graphs calls this per record
+        return (x & -x).bit_length() - 1 if good(0, [located[0][1]] * 2) else None
+    for h, _ in _walk(g.n - c, (located,), (located,), good):
+        return h << c | (x & -x).bit_length() - 1  # x is good's plane at this leaf, non-empty
     return None
 
 
-def min_good_set(g: Graph, dominating: bool) -> tuple[int, int]:
-    """The size of a smallest locating set (with dominating, locating-
-    dominating set) and the first such set in combinations order.
+@lru_cache(maxsize=1)
+def min_good_sets(g: Graph) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(size, first set in combinations order) of a smallest locating set
+    and of a smallest locating-dominating set, from one walk.
 
     Blocks of 2^BLOCK_BITS subsets.  A block's smallest good x is least of
     the counters of |x| (SIZE_COUNTERS) on its good plane, the complement
     of the planes whose high part misses h (_walk): the located planes of
-    miss_planes, and with dominating the planes "x misses N[v]" besides,
-    as v is outside a and not dominated by it iff a misses N[v].  Only
-    this search reads those, so they are built per call, grouped by high
-    part as the located planes are, and not memoized.  The walk skips a
-    subtree with no good x, or whose high part alone outgrows the best
-    size so far.
+    miss_planes for the locating search, and for the locating-dominating
+    one the planes "x misses N[v]" besides (_closed_planes), built once
+    here.  Each search skips a block with no good x, or whose high part
+    alone outgrows its best size so far, and the walk skips a subtree that
+    both searches would skip.
+
+    Memoized for the last graph like miss_planes, so the two oracles,
+    called in turn on one graph, share the walk.
     """
     c = min(g.n, BLOCK_BITS)
-    tables, absent = _nibble_tables(c)
     full = (1 << (1 << c)) - 1
-    misses = [miss_planes(g)]
-    if dominating:
-        first, rest = tables[0], tables[1:]
-        low_part = (1 << c) - 1
-        closed = {0: 0}
-        for v, row in enumerate(g.adj):
-            m = row | 1 << v
-            high = m >> c
-            m &= low_part
-            plane = first[m & 15]  # the nibble lookups, inlined as in _or_pair_planes
-            for table in rest:
-                m >>= 4
-                plane &= table[m & 15]
-            closed[high] = closed.get(high, 0) | plane
-        misses.append(tuple(closed.items()))
+    misses = (miss_planes(g), _closed_planes(g, c))
     # a subset of the c low vertices has at most c members, so the counters
     # above c.bit_length() are 0 wherever least reads them
     sizes = SIZE_COUNTERS[: c.bit_length()]
-    best_size, best = g.n + 1, 0
-    # bad[-1] holds the N[v] planes with dominating, and is bad[0] without
+    held = _held_planes(c)
+    best = [(g.n + 1, 0), (g.n + 1, 0)]  # the locating search's, then the locating-dominating one's
+
+    def alive(h: int, bad: list[int]) -> bool:
+        high = h.bit_count()
+        return high <= best[0][0] and bad[0] < full or high <= best[1][0] and bad[0] | bad[1] < full
+
     if c < g.n:
-        blocks = _walk(g.n - c, misses, (), lambda h, bad: h.bit_count() <= best_size and bad[0] | bad[-1] < full)
+        blocks = _walk(g.n - c, misses, (), alive)
     else:  # one block, read directly, as in first_split
         blocks = ((0, [groups[0][1] for groups in misses]),)
-    for h, bad in blocks:
+    for h, (located, closed) in blocks:
         high_size = h.bit_count()
-        # the walk passes no block without a good x, and the one block of
-        # a graph with no high vertices holds V, which is good
-        low_size, cand = least(sizes, full ^ (bad[0] | bad[-1]))
-        if high_size + low_size > best_size:
-            continue
-        # combinations order among equal sizes: the set holding the smallest
-        # element where two sets differ comes first, so keep each w in turn
-        # whenever some remaining candidate holds it
-        for plane in absent:
-            held = cand & ~plane
-            if held:
-                cand = held
-        x = h << c | cand.bit_length() - 1
-        differ = x ^ best
-        if high_size + low_size < best_size or differ & -differ & x:
-            best_size, best = high_size + low_size, x
-    return best_size, best
+        for search, good in enumerate((full ^ located, full ^ (located | closed))):
+            best_size, best_set = best[search]
+            if not good or high_size > best_size:
+                continue
+            low_size, cand = least(sizes, good)
+            if high_size + low_size > best_size:
+                continue
+            # combinations order among equal sizes: the set holding the
+            # smallest element where two sets differ comes first, so keep
+            # each w in turn whenever some remaining candidate holds it, one
+            # AND with the plane "w in x" a step
+            for plane in held:
+                both = cand & plane
+                if both:
+                    cand = both
+            x = h << c | cand.bit_length() - 1
+            differ = x ^ best_set
+            if high_size + low_size < best_size or differ & -differ & x:
+                best[search] = high_size + low_size, x
+    return best[0], best[1]
 
 
 # binary digits to byte values 0 and 2^j, one table per counter plane j

@@ -4,8 +4,9 @@ Everything here is exhaustive search: minimum locating and
 locating-dominating sets by increasing cardinality, the two-locating-sets
 bipartition search, and the maximum summed separation score over
 k-partitions.  The first three are block scans of location
-(location.min_good_set and location.first_split, with vertex 0 pinned),
-over the same subset planes as the bound's exact maximization, so they do
+(location.min_good_sets, one walk for both minimum sets, memoized for the
+last graph, and location.first_split, with vertex 0 pinned), over the
+same subset planes as the bound's exact maximization, so they do
 not check that kernel; what checks both is the CLI's set-based
 re-verification of every locating and locating-dominating witness
 (is_locating, is_locating_dominating) and the references in the tests.
@@ -27,7 +28,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InvalidInput, refuse
 from .graphs import Graph
-from .location import first_split, min_good_set, score_table
+from .location import first_split, min_good_sets, score_table
 
 MIN_SET_CEILING = 16
 PARTITION2_CEILING = 20
@@ -53,18 +54,20 @@ class SkResult(NamedTuple):
 def min_locating(g: Graph, ceiling: int = MIN_SET_CEILING) -> OptimumWitness:
     """L(G): smallest locating set, first witness in combinations order.
 
-    A negative ceiling is InvalidInput, and one from 0 to n - 1 RefusedScale."""
+    A negative ceiling is InvalidInput, and one from 0 to n - 1 RefusedScale,
+    before any scan; then min_good_sets runs the one walk for both oracles,
+    so min_locating_dominating on the same graph reads its memo."""
     if g.n > ceiling:
         refuse("oracle", g.n, ceiling)
-    return OptimumWitness(*min_good_set(g, False))
+    return OptimumWitness(*min_good_sets(g)[0])
 
 
 def min_locating_dominating(g: Graph, ceiling: int = MIN_SET_CEILING) -> OptimumWitness:
     """LD(G): smallest locating-dominating set, first witness in combinations
-    order.  Ceilings as in min_locating."""
+    order.  Ceilings and the shared walk as in min_locating."""
     if g.n > ceiling:
         refuse("oracle", g.n, ceiling)
-    return OptimumWitness(*min_good_set(g, True))
+    return OptimumWitness(*min_good_sets(g)[1])
 
 
 def two_locating_partition(g: Graph) -> PartitionWitness:

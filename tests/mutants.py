@@ -17,8 +17,8 @@ import the src that sits beside its config, and runs every test there:
    still pass the tests named for it, so a test that starts catching it
    shows here and the entry moves to MUTANTS.
 
-NAMEs select entries of either list.  One line per entry; exits 0 when every
-check holds, else 1.  This file is not a test module, so tier-1 does not
+NAMEs select entries of either list.  One line per entry, then the run's
+wall time; exits 0 when every check holds, else 1.  This file is not a test module, so tier-1 does not
 collect it.
 """
 
@@ -31,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from time import perf_counter
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,8 +109,8 @@ MUTANTS = (
     Mutant(
         "split-prune-keep-and-miss",
         "src/locdom/location.py",
-        "return keep & ~bad[0] & ~at_complements(bad[1], c)",
-        "return keep & bad[0]",
+        "x = keep & ~bad[0] & ~at_complements(bad[1], c)",
+        "x = keep & bad[0]",
         (
             "tests/test_location.py::test_first_split_walk_against_reference[free]",
             "tests/test_location.py::test_first_split_walk_against_reference[pinned]",
@@ -238,8 +239,8 @@ MUTANTS = (
     Mutant(
         "ld-without-closed-planes",
         "src/locdom/location.py",
-        "        misses.append(tuple(closed.items()))\n",
-        "",
+        "    misses = (miss_planes(g), _closed_planes(g, c))\n",
+        "    misses = (miss_planes(g), ((0, 0),))\n",
         (
             "tests/test_solver.py::TestMinSets::test_edgeless[1]",
             "tests/test_solver.py::TestMinSets::test_edgeless[16]",
@@ -273,6 +274,25 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "tie-break-on-absent-planes",
+        "src/locdom/location.py",
+        "    held = _held_planes(c)\n",
+        "    held = _nibble_tables(c)[1]\n",
+        (
+            "tests/test_solver.py::TestMinSets::test_matches_reference",
+            "tests/test_solver.py::TestMinSets::test_cross_block_tie_break[17-1]",
+            "tests/test_solver.py::TestMinSets::test_cross_block_tie_break[18-5]",
+            "tests/test_location.py::test_min_good_set_walk_against_reference",
+        ),
+    ),
+    Mutant(
+        "joint-prune-l-only",
+        "src/locdom/location.py",
+        "return high <= best[0][0] and bad[0] < full or high <= best[1][0] and bad[0] | bad[1] < full",
+        "return high <= best[0][0] and bad[0] < full",
+        ("tests/test_location.py::test_min_good_set_walk_against_reference",),
+    ),
+    Mutant(
         "in-order-submits-every-task-up-front",
         "src/locdom/cli.py",
         "    for task in tasks:\n",
@@ -295,15 +315,17 @@ SURVIVORS = (
     Mutant(
         "min-good-set-prune-below",
         "src/locdom/location.py",
-        "h.bit_count() <= best_size and",
-        "h.bit_count() < best_size and",
+        "high <= best[0][0] and bad[0] < full or high <= best[1][0]",
+        "high < best[0][0] and bad[0] < full or high < best[1][0]",
         (
             "tests/test_location.py::test_min_good_set_walk_against_reference",
             "tests/test_solver.py::TestMinSets",
         ),
-        "equivalent: where the high part alone has best_size vertices only a witness "
-        "wholly in the high vertices ties, and it is last among equal sizes in "
-        "combinations order, so it never replaces the best",
+        "equivalent up to the default ceiling: where the high part alone has a "
+        "search's best size, only a set wholly in the k high vertices ties, and it "
+        "comes after any best holding a low vertex in combinations order; two such "
+        "sets of one smallest size s need s < k and n - s <= 2^s, which n >= 13 "
+        "rules out for k <= 4 (n <= 16)",
     ),
 )
 
@@ -337,6 +359,7 @@ def applied(copy: Path, mutant: Mutant):
 
 
 def main(argv: list[str]) -> int:
+    start = perf_counter()
     entries = [*MUTANTS, *SURVIVORS]
     if argv:
         unknown = set(argv) - {e.name for e in entries}
@@ -375,6 +398,7 @@ def main(argv: list[str]) -> int:
                 ok, note = not missed, f"caught by all {len(e.tests)}" if not missed else f"not caught by {' '.join(missed)}"
             broken += not ok
             print(f"{'ok' if ok else 'BROKEN':6} {'survivor' if survivor else 'mutant':8} {e.name}: {note}")
+    print(f"wall time: {perf_counter() - start:.0f} s")
     return 1 if broken else 0
 
 

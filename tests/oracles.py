@@ -111,11 +111,20 @@ def ref_is_dominating(g, x_set):
 
 
 def ref_min_witness(g, dominating=False):
-    """First locating (and dominating) set in increasing size, combinations order."""
+    """First locating (and dominating) set in increasing size, combinations
+    order: the outside traces are pairwise distinct (and none is empty)."""
+    nbr = neighborhoods(g)
+    verts = set(range(g.n))
     for r in range(g.n + 1):
         for c in combinations(range(g.n), r):
             x = set(c)
-            if ref_is_locating(g, x) and (not dominating or ref_is_dominating(g, x)):
+            seen = set()
+            for v in verts - x:
+                trace = frozenset(nbr[v] & x)
+                if trace in seen or dominating and not trace:
+                    break
+                seen.add(trace)
+            else:
                 return x
     raise AssertionError("unreachable")
 

@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from locdom import location
 from locdom.bound import construct_ld, decompose, derive_good_set, score_sum
 from locdom.errors import InvalidInput
-from locdom.graphs import all_labeled_graphs, generate, is_twin_free, new_graph, set_of
+from locdom.graphs import all_labeled_graphs, decode_graph6, generate, is_twin_free, new_graph, set_of
 from locdom.location import (
     BLOCK_BITS,
     SIZE_COUNTERS,
@@ -19,7 +20,7 @@ from locdom.location import (
     is_locating,
     is_locating_dominating,
     least,
-    min_good_set,
+    min_good_sets,
     miss_planes,
     outside_walk,
     representatives,
@@ -361,21 +362,60 @@ def test_first_split_walk_against_reference(pinned):
     assert outcomes == {None, False, True}  # no split, a split in block 0, and one above it
 
 
+@pytest.mark.parametrize(
+    "g,split",
+    [(generate("path", 20), 169125), (generate("gnp", 17, 0.1, 12), None), (generate("cycle", 12), 331)],
+    ids=["P20", "gnp-17-no-split", "C12-one-block"],
+)
+def test_first_split_reads_each_node_once(monkeypatch, g, split):
+    # the walk asks for the good plane at every node it reaches, leaves
+    # included, and the scan takes the split from the plane found at the
+    # first leaf it passes: one at_complements a node; the one block of a
+    # graph with no high vertices is read once, with no walk
+    asked, read = [], []
+    walk, flip = location._walk, location.at_complements
+
+    def spy_walk(k, misses, lies_in, alive):
+        def counted(h, planes):
+            asked.append(h)
+            return alive(h, planes)
+
+        return walk(k, misses, lies_in, counted)
+
+    def spy_flip(plane, c):
+        read.append(c)
+        return flip(plane, c)
+
+    monkeypatch.setattr(location, "_walk", spy_walk)
+    monkeypatch.setattr(location, "at_complements", spy_flip)
+    assert first_split(g, pinned=False) == split
+    assert len(read) == (len(asked) if g.n > BLOCK_BITS else 1)
+
+
 def test_min_good_set_walk_against_reference():
-    # gnp(n, 0.3, 1): n = 14 has its L witness in block 1 and n = 16 its LD
-    # witness in block 3 of 2^BLOCK_BITS subsets; at n = 18 both sizes are 5,
-    # below the 6 high vertices, so the walk skips the last blocks, whose
-    # high part alone is larger, by size alone
+    # gnp with n = 13-18 (1-6 high vertices above the 2^BLOCK_BITS-subset
+    # blocks), twins allowed, and P_n and C_n with n = 13-16: the one walk
+    # must give both searches the reference's size and first witness in
+    # combinations order.  In the last graph, vertices 12-15 locate the 13
+    # others and leave 16 with the empty trace, so L = 4 and its only
+    # locating-dominating set of size 5 is 12-16, the last block: a walk
+    # pruned by the locating search's best size alone skips it.
+    graphs = [generate("gnp", n, p, seed) for n in range(13, 19) for p in (0.1, 0.3, 0.5) for seed in (1, 2, 3)]
+    graphs += [generate(kind, n) for kind in ("path", "cycle") for n in range(13, 17)]
+    graphs.append(decode_graph6("P?G?OGG??AC?ZXraauppU???"))
     above = 0
-    for n in (13, 14, 16, 18):
-        g = generate("gnp", n, 0.3, 1)
+    for g in graphs:
+        found = min_good_sets(g)
         for dominating in (False, True):
             ref = ref_min_witness(g, dominating)
-            size, witness = min_good_set(g, dominating)
-            assert (size, witness) == (len(ref), to_mask(ref))
-            above += witness >> BLOCK_BITS > 0
-    assert above >= 2
-    assert size < g.n - BLOCK_BITS
+            assert found[dominating] == (len(ref), to_mask(ref))
+            above += found[dominating][1] >> BLOCK_BITS > 0
+    assert above >= 60  # of the 126 witnesses
+    assert found == ((4, 0b1111 << 12), (5, 0b11111 << 12))
+    # gnp(18, 0.3, 1) has both sizes 5, below its 6 high vertices, so the
+    # walk skips the last blocks, whose high part alone is larger, by size alone
+    g = generate("gnp", 18, 0.3, 1)
+    assert max(size for size, _ in min_good_sets(g)) < g.n - BLOCK_BITS
 
 
 @pytest.mark.parametrize("g", [generate("path", 14), generate("gnp", 14, 0.3, 1)], ids=["P14", "gnp-14"])

@@ -129,10 +129,40 @@ class TestMinSets:
             ref = ref_min_witness(g, dominating)
             assert oracle(g, ceiling=n) == (len(ref), to_mask(ref))
 
+    def test_one_walk_serves_both_oracles(self, monkeypatch):
+        # min_locating then min_locating_dominating on one graph: one walk
+        # over the high vertices and one build of the closed-neighborhood
+        # planes, read from the memo by the second call; a refused call walks
+        # nothing, and the next graph walks and builds again
+        walks, builds = [], []
+        walk, build = location._walk, location._closed_planes
+
+        def spy_walk(k, misses, lies_in, alive):
+            walks.append(k)
+            return walk(k, misses, lies_in, alive)
+
+        def spy_build(g, c):
+            builds.append(g)
+            return build(g, c)
+
+        monkeypatch.setattr(location, "_walk", spy_walk)
+        monkeypatch.setattr(location, "_closed_planes", spy_build)
+        location.min_good_sets.cache_clear()
+        graphs = [generate("path", 14), generate("gnp", 15, 0.3, 2)]
+        for i, g in enumerate(graphs, 1):
+            with pytest.raises(RefusedScale):
+                min_locating_dominating(g, ceiling=g.n - 1)
+            l, ld = min_locating(g), min_locating_dominating(g)
+            assert (walks, builds) == ([h.n - BLOCK_BITS for h in graphs[:i]], graphs[:i])
+            for w, dominating in ((l, False), (ld, True)):
+                ref = ref_min_witness(g, dominating)
+                assert w == (len(ref), to_mask(ref))
+
     def test_raised_ceiling_keeps_block_width(self, monkeypatch):
         # above 2^12 subsets the planes stay one block of 2^BLOCK_BITS wide,
-        # in the memo and in the LD search's planes built beside it; one
-        # plane over all 2^24 subsets is 2 MiB
+        # in the memo and in the closed-neighborhood planes built beside it
+        # for the one walk of both searches; one plane over all 2^24 subsets
+        # is 2 MiB
         g = generate("path", 24)
         walked = []
         walk = location._walk
@@ -142,18 +172,23 @@ class TestMinSets:
             return walk(k, misses, lies_in, alive)
 
         monkeypatch.setattr(location, "_walk", spy)
+        location.min_good_sets.cache_clear()
         tracemalloc.start()
         try:
-            w = min_locating_dominating(g, ceiling=24)
+            l = min_locating(g, ceiling=24)
+            ld = min_locating_dominating(g, ceiling=24)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (w.size, w.witness) == (10, 5412005)  # recorded from the combinations search
+        # LD recorded from the combinations search, L from the locating
+        # search run alone
+        assert (ld.size, ld.witness) == (10, 5412005)
+        assert (l.size, l.witness) == (10, 2706003)
         assert peak < 1 << 21
         hits = miss_planes.cache_info().hits
         memo = miss_planes(g)
         assert miss_planes.cache_info().hits == hits + 1
-        assert len(walked) == 2 and walked[0] == memo  # the memo and the closed neighborhoods
+        assert len(walked) == 2 and walked[0] == memo  # one walk: the memo and the closed neighborhoods
         assert max(p.bit_length() for groups in walked for _, p in groups) <= 1 << BLOCK_BITS
 
     @pytest.mark.parametrize("g", [generate("path", 17), open_twin(24, 2)], ids=["P17", "open-twin-24"])
