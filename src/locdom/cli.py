@@ -9,9 +9,11 @@ exception is a bug and exits 1 with its traceback.  Single-graph commands
 print one JSON report that depends on the input alone, so the same input
 gives the same bytes (no wall-clock timings ride in it); ``corpus`` streams
 JSON-lines records (one per input graph, in input order regardless of
---jobs) and a CSV summary; only a corpus that forks workers loads the
-process pool and the multiprocessing machinery behind it, so every other
-command, and a corpus run in process, starts without them.  ``bound``
+--jobs) and a CSV summary.  A corpus runs its chunks in process until the
+chunks left, at the mean time of those done, would outlast a pool's
+start-up; only then does it load the process pool and the multiprocessing
+machinery behind it, so every other command, and a short corpus at any
+--jobs, starts without them.  ``bound``
 and every twin-free corpus record take one certified path at any n: the
 exact pipeline, which leaves through the first split of V into two
 locating sets; only a graph with no split runs the full sums, refused
@@ -30,6 +32,7 @@ import traceback
 from collections import deque
 from functools import partial
 from itertools import chain, islice
+from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import click
@@ -421,6 +424,37 @@ def _process_pool(workers: int) -> Executor:
     return ProcessPoolExecutor(max_workers=workers)
 
 
+# what a pool costs beyond its records, measured with Python 3.11 on a 2-CPU
+# x86-64 host: about 20 ms to import concurrent.futures.process and
+# multiprocessing, 11 ms to fork two workers and get their first results,
+# and 3 ms to shut them down
+_POOL_START_S = 0.035
+
+
+def _chunks(
+    tasks: Iterator[tuple], count: int, workers: int, stack: contextlib.ExitStack
+) -> Iterator[tuple[str, _Tally]]:
+    """_corpus_chunk over the count tasks, results in task order.
+
+    Chunks run in process until the chunks left, at the mean time of those
+    done, would take as long as starting a pool; the rest of tasks then go
+    to a pool of min(workers, chunks left) processes, entered on stack, and
+    with fewer than two left no pool starts.  The first chunk always runs
+    in process, as nothing has been timed before it.  Records depend on
+    their input alone, so the output is the same wherever a chunk runs.
+    """
+    spent = 0.0
+    for done in range(count):
+        workers = min(workers, count - done)
+        if workers > 1 and done and spent / done * (count - done) >= _POOL_START_S:
+            yield from _in_order(stack.enter_context(_process_pool(workers)), _corpus_chunk, tasks, 2 * workers)
+            return
+        t = perf_counter()
+        result = _corpus_chunk(next(tasks))
+        spent += perf_counter() - t
+        yield result
+
+
 @main.command()
 @click.argument("source")
 @click.option(
@@ -429,6 +463,7 @@ def _process_pool(workers: int) -> Executor:
     default=1,
     callback=partial(_at_least, 1),
     help="worker processes at most; no more run than usable CPUs or chunks, "
+    "none start until the work left would outlast their start-up, "
     "and the output is byte-identical at any count",
 )
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -452,20 +487,15 @@ def corpus(source, jobs, out, solve_ceiling, no_q1) -> None:
         items = [line for _, line in numbered]
     opt = {"solve_ceiling": solve_ceiling, "q1": not no_q1}
     # a pool forks all its workers at the first submit, so it gets no more
-    # than can run at once or have a chunk to do; the output is the same
+    # than can run at once; the output is the same
     workers = min(jobs, _usable_cpus())
     # at least four chunks per worker, so a short corpus still spreads out
     size = max(1, min(_CHUNK_MAX, len(items) // (4 * workers)))
-    workers = min(workers, -(-len(items) // size))
     tasks = ((build, i, items[i : i + size], opt) for i in range(0, len(items), size))
     tally = _Tally()
     with contextlib.ExitStack() as stack:
         sink = stack.enter_context(_open_output(out)) if out else sys.stdout
-        if workers > 1:
-            chunks = _in_order(stack.enter_context(_process_pool(workers)), _corpus_chunk, tasks, 2 * workers)
-        else:
-            chunks = map(_corpus_chunk, tasks)
-        for lines, part in chunks:
+        for lines, part in _chunks(tasks, -(-len(items) // size), workers, stack):
             sink.write(lines)
             for index, error in part.errors:
                 click.echo(f"error: line {line_numbers[index]}: {error}", err=True)

@@ -234,6 +234,27 @@ MUTANTS = (
             "tests/test_cli.py::test_process_pool_loaded_only_to_fork[corpus-j1]",
             "tests/test_cli.py::test_process_pool_loaded_only_to_fork[check]",
             "tests/test_cli.py::test_process_pool_loaded_only_to_fork[bound]",
+            "tests/test_cli.py::test_process_pool_loaded_only_to_fork[corpus-j2-two-graphs]",
+        ),
+    ),
+    Mutant(
+        "corpus-pool-whatever-the-work-left",
+        "src/locdom/cli.py",
+        "        if workers > 1 and done and spent / done * (count - done) >= _POOL_START_S:\n",
+        "        if workers > 1 and done:\n",
+        ("tests/test_cli.py::TestCorpus::test_pool_starts_once_the_work_left_outlasts_it",),
+    ),
+    Mutant(
+        "corpus-pool-never-started",
+        "src/locdom/cli.py",
+        "        if workers > 1 and done and spent / done * (count - done) >= _POOL_START_S:\n",
+        "        if False:\n",
+        (
+            "tests/test_cli.py::test_process_pool_loaded_only_to_fork[corpus-j2]",
+            "tests/test_cli.py::TestCorpus::test_workers_capped[all:4-5000-4-4]",
+            "tests/test_cli.py::TestCorpus::test_workers_capped[all:4-3-8-3]",
+            "tests/test_cli.py::TestCorpus::test_workers_capped[three-5000-8-2]",
+            "tests/test_cli.py::TestCorpus::test_pool_starts_once_the_work_left_outlasts_it",
         ),
     ),
     Mutant(

@@ -1,9 +1,11 @@
+import contextlib
 import inspect
 import json
 import os
 import subprocess
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -189,31 +191,34 @@ POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
 
 
 @pytest.mark.parametrize(
-    "args, pooled",
+    "args, stdin, pooled",
     [
-        ([], False),
-        (["corpus", "all:4", "--jobs", "1"], False),
-        (["check", "-"], False),
-        (["bound", "-"], False),
-        (["corpus", "all:4", "--jobs", "2"], True),
+        ([], "", False),
+        (["corpus", "all:4", "--jobs", "1"], "", False),
+        (["check", "-"], "Dhc\n", False),
+        (["bound", "-"], "Dhc\n", False),
+        (["corpus", "all:4", "--jobs", "2"], "", True),
+        (["corpus", "-", "--jobs", "2"], "Dhc\nCh\n", False),
     ],
-    ids=["import", "corpus-j1", "check", "bound", "corpus-j2"],
+    ids=["import", "corpus-j1", "check", "bound", "corpus-j2", "corpus-j2-two-graphs"],
 )
-def test_process_pool_loaded_only_to_fork(args, pooled):
+def test_process_pool_loaded_only_to_fork(args, stdin, pooled):
     # a fresh interpreter, since this one has loaded the pool already; it
     # reports the pool's modules it holds after the command, on its last line
-    # (two CPUs for the forking corpus, so it forks on any host)
+    # (two CPUs and a pool that costs nothing to start, so a corpus forks
+    # after its first chunk on any host whenever two chunks are left)
     script = (
         "import json, sys\n"
         "from locdom import cli\n"
         "cli._usable_cpus = lambda: 2\n"
+        "cli._POOL_START_S = 0\n"
         f"if {args!r}:\n"
         f"    cli.main({args!r}, standalone_mode=False)\n"
         f"print(json.dumps([m for m in {POOL_MODULES!r} if m in sys.modules]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
-        input="Dhc\n",
+        input=stdin,
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -735,7 +740,8 @@ class TestCorpus:
         assert result.stderr.splitlines() == [f"error: --jobs must be at least 1, got {jobs}"]
 
     @pytest.mark.parametrize("jobs", ["1", "3"])
-    def test_generated_equals_file(self, runner, tmp_path, jobs):
+    def test_generated_equals_file(self, runner, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(cli, "_POOL_START_S", 0)  # fork after the first chunk
         src = tmp_path / "all5.g6"
         src.write_text(runner.invoke(main, ["gen", "all", "5"]).stdout)
         outs = []
@@ -747,10 +753,16 @@ class TestCorpus:
         assert outs[0] == outs[1]
         assert outs[0].count(b"\n") == 1024
 
-    def test_malformed_line_in_pool(self, runner, tmp_path):
-        # 40 records make chunks of 5 at --jobs 2 (with two usable CPUs); line 23 sits inside one
+    def test_malformed_line_in_pool(self, runner, tmp_path, monkeypatch):
+        # 40 records make chunks of 5 at --jobs 2 with two usable CPUs; a pool
+        # that costs nothing to start takes every chunk after the first, so
+        # line 4 fails in process and line 23 in a worker
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_POOL_START_S", 0)
         lines = [encode_graph6(generate("path", 4 + i % 3)) for i in range(40)]
-        lines[22] = "C\x01bad"
+        bad = (3, 22)
+        for i in bad:
+            lines[i] = "C\x01bad"
         src = tmp_path / "mixed.g6"
         src.write_text("\n".join(lines) + "\n")
         out = tmp_path / "reports.jsonl"
@@ -758,47 +770,55 @@ class TestCorpus:
         assert result.exit_code == EXIT_PARSE
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["index"] for r in records] == list(range(40))
-        assert set(records[22]) == {"index", "error", "input"} and records[22]["input"] == "C\x01bad"
-        assert all("error" not in r for i, r in enumerate(records) if i != 22)
-        assert result.stderr.splitlines() == [f"error: line 23: {records[22]['error']}"]
+        for i in bad:
+            assert set(records[i]) == {"index", "error", "input"} and records[i]["input"] == "C\x01bad"
+        assert all("error" not in r for i, r in enumerate(records) if i not in bad)
+        assert result.stderr.splitlines() == [f"error: line {i + 1}: {records[i]['error']}" for i in bad]
         assert result.stdout.splitlines()[-1] == "6,13,13,3,0,0"
+
+    class InProcessPool:
+        """A stand-in for _process_pool that records its size and the tasks
+        it is given, and runs each in process, so no process is started."""
+
+        def __init__(self, started: list, workers: int):
+            self.workers = workers
+            self.tasks: list = []
+            started.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, task):
+            self.tasks.append(task)
+            future = Future()
+            future.set_result(fn(task))
+            return future
 
     @pytest.mark.parametrize(
         "source, jobs, cpus, workers",
         [
-            ("all:4", 5000, 4, 4),  # 64 records in 16 chunks: as many workers as CPUs
+            ("all:4", 5000, 4, 4),  # 64 records in 16 chunks, 15 left: as many workers as CPUs
             ("all:4", 3, 8, 3),  # fewer jobs than CPUs: the jobs
-            ("two", 5000, 8, 2),  # two records: one worker per chunk
+            ("three", 5000, 8, 2),  # three records: one worker per chunk left
+            ("two", 5000, 8, None),  # two records: one chunk left, in process
             ("one", 5000, 8, None),  # one chunk: in process, no pool
             ("all:4", 5000, 1, None),  # one CPU: in process, no pool
         ],
     )
     def test_workers_capped(self, runner, tmp_path, monkeypatch, source, jobs, cpus, workers):
         # a pool forks all its workers at the first submit, so it must be no
-        # larger than the CPUs or the chunks; the stand-in records its size
-        # and runs every task in process, so no process is started here
-        started = []
-
-        class InProcessPool:
-            def __init__(self, workers):
-                started.append(workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, task):
-                future = Future()
-                future.set_result(fn(task))
-                return future
-
-        monkeypatch.setattr(cli, "_process_pool", InProcessPool)
+        # larger than the CPUs or the chunks left after the first, which runs
+        # in process; a pool that costs nothing to start takes all of those
+        started: list = []
+        monkeypatch.setattr(cli, "_process_pool", partial(self.InProcessPool, started))
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "_POOL_START_S", 0)
         if not source.startswith("all:"):
             path = tmp_path / f"{source}.g6"
-            path.write_text("Ch\nDhc\n" if source == "two" else "Ch\n")
+            path.write_text({"one": "Ch\n", "two": "Ch\nDhc\n", "three": "Ch\nDhc\nCh\n"}[source])
             source = str(path)
         outs = []
         for j in (1, jobs):
@@ -806,8 +826,29 @@ class TestCorpus:
             result = runner.invoke(main, ["corpus", source, "--jobs", str(j), "--out", str(out)])
             assert result.exit_code == 0, result.output
             outs.append(out.read_bytes())
-        assert started == ([] if workers is None else [workers])
+        assert [pool.workers for pool in started] == ([] if workers is None else [workers])
         assert outs[0] == outs[1]
+
+    def test_pool_starts_once_the_work_left_outlasts_it(self, monkeypatch):
+        # chunk t takes cost[t] s on a stand-in clock, and a pool 20 s to
+        # start: after chunks 0, 1 and 2 the mean times the chunks left is
+        # 1 * 9, 1 * 8 and 4 * 7 s, so chunks 3 to 9 go to a pool of 7
+        cost = [1, 1, 10, 1, 1, 1, 1, 1, 1, 1]
+        now = 0.0
+
+        def chunk(t):
+            nonlocal now
+            now += cost[t]
+            return t
+
+        started: list = []
+        monkeypatch.setattr(cli, "perf_counter", lambda: now)
+        monkeypatch.setattr(cli, "_corpus_chunk", chunk)
+        monkeypatch.setattr(cli, "_process_pool", partial(self.InProcessPool, started))
+        monkeypatch.setattr(cli, "_POOL_START_S", 20)
+        with contextlib.ExitStack() as stack:
+            assert list(cli._chunks(iter(range(10)), 10, 8, stack)) == list(range(10))
+        assert [(pool.workers, pool.tasks) for pool in started] == [(7, list(range(3, 10)))]
 
     def test_usable_cpus(self):
         assert 1 <= cli._usable_cpus() <= (os.cpu_count() or 1)
